@@ -11,18 +11,19 @@ import (
 	"time"
 )
 
-// TestObservabilityHTTP exercises the PR's acceptance criteria through the
-// public surface: with serving and the job manager sharing one metrics
-// registry and one trace ring, a single GET /metrics on the combined
-// handler exposes serving, jobs, and per-job trainer series, and the
-// trace ID echoed in a predict response is findable at GET /debug/traces.
+// TestObservabilityHTTP exercises the combined handler through the public
+// surface: with serving and the job manager sharing one metrics registry
+// and one event log, a single GET /metrics exposes serving, jobs, and
+// per-job trainer series, the trace ID echoed in a predict response finds
+// the request's wide event at GET /debug/events?trace_id=, and the job's
+// history is its events at GET /debug/events?job=.
 func TestObservabilityHTTP(t *testing.T) {
 	reg := NewMetricsRegistry()
-	tracer := NewTracer(0)
-	srv := NewServer(ServerConfig{Metrics: reg, Tracer: tracer})
+	events := NewEventLog(0)
+	srv := NewServer(ServerConfig{Metrics: reg, Events: events})
 	defer srv.Close()
 	mgr := NewTrainingManager(TrainingConfig{
-		Workers: 1, Registrar: srv, Metrics: reg, Tracer: tracer,
+		Workers: 1, Registrar: srv, Metrics: reg, Events: events,
 	})
 	defer mgr.Close()
 	ts := httptest.NewServer(NewTrainServeHandler(srv, mgr))
@@ -55,9 +56,6 @@ func TestObservabilityHTTP(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusAccepted || job.ID == "" {
 		t.Fatalf("POST /train: %d %+v", resp.StatusCode, job)
-	}
-	if job.TraceID == "" {
-		t.Fatalf("submitted job carries no trace_id: %+v", job)
 	}
 	deadline := time.Now().Add(120 * time.Second)
 	for {
@@ -101,50 +99,45 @@ func TestObservabilityHTTP(t *testing.T) {
 		t.Fatalf("X-Trace-Id header %q != body trace_id %q", hdr, pred.TraceID)
 	}
 
-	// Both the predict trace and the job trace are in the shared ring,
-	// with the spans the trace contract promises.
-	tr, err := http.Get(ts.URL + "/debug/traces")
-	if err != nil {
-		t.Fatal(err)
+	// The request's wide event, found by its trace ID, carries the queue
+	// wait and device time of the micro-batch that served it.
+	var reqEvents struct {
+		Events []Event `json:"events"`
 	}
-	var traces struct {
-		Traces []struct {
-			ID    string `json:"id"`
-			Name  string `json:"name"`
-			Spans []struct {
-				Name string `json:"name"`
-			} `json:"spans"`
-		} `json:"traces"`
+	getJSON(t, ts.URL+"/debug/events?trace_id="+pred.TraceID, &reqEvents)
+	if len(reqEvents.Events) != 1 {
+		t.Fatalf("events for trace %s: %+v, want one", pred.TraceID, reqEvents.Events)
 	}
-	if err := json.NewDecoder(tr.Body).Decode(&traces); err != nil {
-		t.Fatal(err)
+	if ev := reqEvents.Events[0]; ev.Kind != "serve.request" || ev.Outcome != "ok" ||
+		ev.QueueWait <= 0 || ev.DeviceTime <= 0 {
+		t.Fatalf("request event lacks queue wait or device time: %+v", ev)
 	}
-	tr.Body.Close()
-	spansOf := func(id string) map[string]bool {
-		for _, snap := range traces.Traces {
-			if snap.ID != id {
-				continue
+
+	// The job's record is its events: queued -> running -> done, one
+	// train.epoch per epoch, and the done transition timing the model
+	// registration.
+	var jobEvents struct {
+		Events []Event `json:"events"`
+	}
+	getJSON(t, ts.URL+"/debug/events?job="+job.ID, &jobEvents)
+	var states []string
+	epochs := map[int]bool{}
+	for i := len(jobEvents.Events) - 1; i >= 0; i-- { // oldest first
+		switch ev := jobEvents.Events[i]; ev.Kind {
+		case "job.state":
+			states = append(states, ev.Outcome)
+			if ev.Outcome == "done" && ev.Wall <= 0 {
+				t.Fatalf("done event carries no registration wall time: %+v", ev)
 			}
-			got := make(map[string]bool, len(snap.Spans))
-			for _, sp := range snap.Spans {
-				got[sp.Name] = true
-			}
-			return got
-		}
-		t.Fatalf("trace %s not found in /debug/traces (%d traces)", id, len(traces.Traces))
-		return nil
-	}
-	predSpans := spansOf(pred.TraceID)
-	for _, want := range []string{"enqueue", "batch-wait", "device-execute"} {
-		if !predSpans[want] {
-			t.Fatalf("predict trace missing span %q: %v", want, predSpans)
+		case "train.epoch":
+			epochs[ev.Epoch] = true
 		}
 	}
-	jobSpans := spansOf(job.TraceID)
-	for _, want := range []string{"submit", "queue", "epoch[1]", "epoch[2]", "register"} {
-		if !jobSpans[want] {
-			t.Fatalf("job trace missing span %q: %v", want, jobSpans)
-		}
+	if got := strings.Join(states, ","); got != "queued,running,done" {
+		t.Fatalf("job %s states %q, want queued,running,done", job.ID, got)
+	}
+	if !epochs[1] || !epochs[2] {
+		t.Fatalf("job %s epoch events %v, want epochs 1 and 2", job.ID, epochs)
 	}
 
 	// One scrape covers all three subsystems because they share the
@@ -195,20 +188,18 @@ func TestObservabilityHTTP(t *testing.T) {
 	}
 }
 
-// TestTraceIDTriad pins this PR's acceptance criterion end to end: the
-// trace ID echoed by one predict response is findable on all three
-// observability surfaces — as an OpenMetrics latency exemplar at
-// GET /metrics, as a span trace at GET /debug/traces?id=, and on the
-// request's wide event at GET /debug/events. It also checks the Go
-// runtime telemetry rides along on the exposition.
+// TestTraceIDTriad pins the trace ID end to end: the ID echoed by one
+// predict response (body and X-Trace-Id header) is findable as an
+// OpenMetrics latency exemplar at GET /metrics and on the request's wide
+// event at GET /debug/events?trace_id=. It also checks the Go runtime
+// telemetry rides along on the exposition.
 func TestTraceIDTriad(t *testing.T) {
 	reg := NewMetricsRegistry()
-	tracer := NewTracer(0)
 	events := NewEventLog(0)
-	srv := NewServer(ServerConfig{Metrics: reg, Tracer: tracer, Events: events})
+	srv := NewServer(ServerConfig{Metrics: reg, Events: events})
 	defer srv.Close()
 	mgr := NewTrainingManager(TrainingConfig{
-		Workers: 1, Registrar: srv, Metrics: reg, Tracer: tracer, Events: events,
+		Workers: 1, Registrar: srv, Metrics: reg, Events: events,
 	})
 	defer mgr.Close()
 	ts := httptest.NewServer(NewTrainServeHandler(srv, mgr))
@@ -237,6 +228,9 @@ func TestTraceIDTriad(t *testing.T) {
 	pr.Body.Close()
 	if pr.StatusCode != http.StatusOK || pred.TraceID == "" {
 		t.Fatalf("POST /v1/predict: %d trace_id=%q", pr.StatusCode, pred.TraceID)
+	}
+	if hdr := pr.Header.Get("X-Trace-Id"); hdr != pred.TraceID {
+		t.Fatalf("X-Trace-Id header %q != body trace_id %q", hdr, pred.TraceID)
 	}
 
 	// Surface 1: the OpenMetrics exposition carries the trace as a latency
@@ -273,34 +267,9 @@ func TestTraceIDTriad(t *testing.T) {
 		t.Fatal("plain Prometheus exposition leaked exemplar syntax")
 	}
 
-	// Surface 2: /debug/traces?id= resolves the trace; an unknown id 404s.
-	tr, err := http.Get(ts.URL + "/debug/traces?id=" + pred.TraceID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var traces struct {
-		Traces []struct {
-			ID string `json:"id"`
-		} `json:"traces"`
-	}
-	if err := json.NewDecoder(tr.Body).Decode(&traces); err != nil {
-		t.Fatal(err)
-	}
-	tr.Body.Close()
-	if tr.StatusCode != http.StatusOK || len(traces.Traces) != 1 || traces.Traces[0].ID != pred.TraceID {
-		t.Fatalf("GET /debug/traces?id=%s: %d %+v", pred.TraceID, tr.StatusCode, traces)
-	}
-	if nf, err := http.Get(ts.URL + "/debug/traces?id=bogus"); err != nil {
-		t.Fatal(err)
-	} else {
-		nf.Body.Close()
-		if nf.StatusCode != http.StatusNotFound {
-			t.Fatalf("unknown trace id: %d, want 404", nf.StatusCode)
-		}
-	}
-
-	// Surface 3: the request's wide event carries the same trace id.
-	er, err := http.Get(ts.URL + "/debug/events?model=triad&outcome=ok")
+	// Surface 2: /debug/events?trace_id= returns exactly the request's
+	// wide event; an unknown ID returns none.
+	er, err := http.Get(ts.URL + "/debug/events?trace_id=" + pred.TraceID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -315,19 +284,21 @@ func TestTraceIDTriad(t *testing.T) {
 	if er.StatusCode != http.StatusOK {
 		t.Fatalf("GET /debug/events: %d", er.StatusCode)
 	}
-	found := false
-	for _, ev := range evs.Events {
-		if ev.TraceID == pred.TraceID {
-			found = true
-			if ev.Kind != "serve.request" || ev.Rows != 1 || ev.BatchID == 0 || ev.Occupancy < 1 {
-				t.Fatalf("wide event malformed: %+v", ev)
-			}
-		}
+	if len(evs.Events) != 1 {
+		t.Fatalf("events for trace %s: %+v, want exactly one", pred.TraceID, evs)
 	}
-	if !found {
-		t.Fatalf("no wide event carries trace %s: %+v", pred.TraceID, evs)
+	if ev := evs.Events[0]; ev.TraceID != pred.TraceID || ev.Kind != "serve.request" ||
+		ev.Model != "triad" || ev.Outcome != "ok" || ev.Rows != 1 || ev.BatchID == 0 || ev.Occupancy < 1 {
+		t.Fatalf("wide event malformed: %+v", ev)
 	}
 	if evs.Emitted == 0 {
 		t.Fatal("event log reports zero emitted")
+	}
+	var unknown struct {
+		Events []Event `json:"events"`
+	}
+	getJSON(t, ts.URL+"/debug/events?trace_id=bogus", &unknown)
+	if len(unknown.Events) != 0 {
+		t.Fatalf("unknown trace id returned %+v, want no events", unknown.Events)
 	}
 }

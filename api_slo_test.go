@@ -26,14 +26,12 @@ func TestSLOBreachLifecycle(t *testing.T) {
 
 	reg := NewMetricsRegistry()
 	events := NewEventLog(512)
-	tracer := NewTracer(64)
 
 	flight, err := NewFlightRecorder(FlightConfig{
 		Dir:         t.TempDir(),
 		CPUProfile:  20 * time.Millisecond,
 		MinInterval: time.Hour, // one snapshot per test run, whatever flaps
 		Events:      events,
-		Tracers:     []*Tracer{tracer},
 		Registries:  []*MetricsRegistry{reg},
 	})
 	if err != nil {
@@ -62,7 +60,7 @@ func TestSLOBreachLifecycle(t *testing.T) {
 	defer ev.Close()
 
 	srv := NewServer(ServerConfig{
-		Metrics: reg, Events: events, Tracer: tracer,
+		Metrics: reg, Events: events,
 		SLO: ev, Flight: flight,
 	})
 	defer srv.Close()
@@ -99,6 +97,29 @@ func TestSLOBreachLifecycle(t *testing.T) {
 		t.Fatalf("state progression %v, want %v", seen, want)
 	}
 
+	// Keep traffic flowing until the paging assertions finish: the checks
+	// below take a few hundred milliseconds, and without fresh samples
+	// the page's confirmation window (Window/12 = 200ms) clears. Paced so
+	// the serve.request events cannot evict the slo.state events from
+	// the 512-event ring.
+	traffic, stopTraffic := context.WithCancel(context.Background())
+	stopped := make(chan struct{})
+	go func() {
+		defer close(stopped)
+		for {
+			select {
+			case <-traffic.Done():
+				return
+			case <-time.After(5 * time.Millisecond):
+			}
+			if _, err := srv.Predict(context.Background(), "m", query); err != nil {
+				t.Errorf("background predict: %v", err)
+				return
+			}
+		}
+	}()
+	defer func() { stopTraffic(); <-stopped }()
+
 	// Readiness degrades while paging.
 	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil {
@@ -133,7 +154,7 @@ func TestSLOBreachLifecycle(t *testing.T) {
 	}
 	for _, name := range []string{
 		"cpu.pprof", "heap.pprof", "goroutines.txt",
-		"events.jsonl", "traces.json", "metrics.prom", "metrics.om", "meta.json",
+		"events.jsonl", "metrics.prom", "metrics.om", "meta.json",
 	} {
 		if !have[name] {
 			t.Fatalf("snapshot missing %s (has %v)", name, snap.Files)
@@ -174,6 +195,8 @@ func TestSLOBreachLifecycle(t *testing.T) {
 	if !paged {
 		t.Fatalf("history has no page transition: %+v", slo.History)
 	}
+	stopTraffic()
+	<-stopped
 
 	// The breach also shows up as wide events: slo.state transitions and
 	// the flight.snapshot record.

@@ -6,8 +6,7 @@ package eigenpro
 //
 //	go test -bench=. -benchmem
 //
-// and see EXPERIMENTS.md for the paper-vs-measured comparison of every
-// artifact. cmd/experiments prints the full tables at larger scales.
+// cmd/experiments prints the full tables at larger scales.
 
 import (
 	"testing"

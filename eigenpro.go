@@ -238,7 +238,10 @@ func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 
 // NewServerHandler exposes a server over HTTP JSON (POST /v1/predict,
 // GET /v1/models, PUT /v1/models/{name}, GET /v1/stats, GET /metrics,
-// GET /debug/traces, GET /healthz, GET /readyz).
+// GET /debug/events, GET /debug/slo, GET /debug/flight, GET /healthz,
+// GET /readyz). Every predict response carries its trace ID (trace_id,
+// X-Trace-Id), which finds the request's wide event at
+// GET /debug/events?trace_id= and its latency exemplar at /metrics.
 func NewServerHandler(s *Server) http.Handler { return serve.NewHandler(s) }
 
 // MetricsRegistry is a dependency-free metrics registry (counters, gauges,
@@ -247,9 +250,6 @@ func NewServerHandler(s *Server) http.Handler { return serve.NewHandler(s) }
 // expose serving, job, and training series from a single /metrics
 // endpoint.
 type MetricsRegistry = obs.Registry
-
-// Tracer is a bounded in-memory ring of per-request span traces.
-type Tracer = obs.Tracer
 
 // EventLog is a lock-free bounded ring of wide events: one structured
 // record per served request, training epoch, and job state transition,
@@ -284,10 +284,6 @@ func Label(k, v string) MetricLabel { return obs.L(k, v) }
 // NewMetricsRegistry returns an empty metrics registry.
 func NewMetricsRegistry() *MetricsRegistry { return obs.NewRegistry() }
 
-// NewTracer returns a trace ring holding the newest capacity traces
-// (<= 0 selects a default capacity).
-func NewTracer(capacity int) *Tracer { return obs.NewTracer(capacity) }
-
 // NewEventLog returns an event log retaining the newest capacity events
 // (<= 0 selects a default capacity of 4096).
 func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
@@ -298,12 +294,8 @@ func NewEventLog(capacity int) *EventLog { return obs.NewEventLog(capacity) }
 // Duplicate registries are exposed once.
 func MetricsHandler(regs ...*MetricsRegistry) http.Handler { return obs.MetricsHandler(regs...) }
 
-// TracesHandler serves the tracers' recent span traces as JSON
-// (?id= for one trace, ?limit= to bound the response).
-func TracesHandler(tracers ...*Tracer) http.Handler { return obs.TracesHandler(tracers...) }
-
 // EventsHandler serves the logs' recent wide events as JSON, filtered by
-// ?kind=&model=&outcome=&job=&level=&since=&limit=.
+// ?kind=&model=&outcome=&job=&trace_id=&level=&since=&limit=.
 func EventsHandler(logs ...*EventLog) http.Handler { return obs.EventsHandler(logs...) }
 
 // RegisterRuntimeMetrics registers Go runtime telemetry (goroutines,
@@ -384,12 +376,11 @@ func NewSLOEvaluator(cfg SLOConfig) (*SLOEvaluator, error) { return slo.New(cfg)
 func SLOHandler(evs ...*SLOEvaluator) http.Handler { return slo.Handler(evs...) }
 
 // FlightRecorder captures breach-triggered debugging snapshots: a CPU
-// profile, heap profile, goroutine dump, the newest wide events, the
-// retained span traces, and both metrics expositions, written as one
-// directory per capture into a bounded, rate-limited disk ring. Arm it
-// via SLOConfig.Flight so every warn→page escalation ships with the
-// evidence needed to diagnose it. A nil *FlightRecorder is valid and
-// disables capturing.
+// profile, heap profile, goroutine dump, the newest wide events, and both
+// metrics expositions, written as one directory per capture into a
+// bounded, rate-limited disk ring. Arm it via SLOConfig.Flight so every
+// warn→page escalation ships with the evidence needed to diagnose it. A
+// nil *FlightRecorder is valid and disables capturing.
 type FlightRecorder = obs.FlightRecorder
 
 // FlightConfig configures NewFlightRecorder; zero values select the
@@ -494,47 +485,19 @@ func JobStatus(m *TrainingManager, id string) (TrainingJob, bool) { return m.Job
 // device-clock utilization, queue depths, per-job epoch progress, and the
 // train-MSE trajectory; runtime telemetry (go_*) rides along, and an
 // Accept: application/openmetrics-text header selects OpenMetrics with
-// latency exemplars. GET /debug/traces merges both span rings,
-// GET /debug/events merges both wide-event logs, GET /debug/slo merges
-// both SLO evaluators (and /debug/flight serves whichever flight recorder
-// is attached), and GET /readyz reports ready once a model is servable or
-// the manager is accepting jobs — degraded (503) while any SLO objective
-// is paging, and 503 "draining" once Server.Drain has begun graceful
-// shutdown.
+// latency exemplars. GET /debug/events merges both wide-event logs (a
+// job's history is ?job=<id>, a predict request's is ?trace_id=<id>),
+// GET /debug/slo merges both SLO evaluators (and /debug/flight serves
+// whichever flight recorder is attached), and GET /readyz reports ready
+// once a model is servable or the manager is accepting jobs — 503
+// "draining" once Server.Drain has begun graceful shutdown, and degraded
+// (503) while any SLO objective is paging.
 func NewTrainServeHandler(s *Server, m *TrainingManager) http.Handler {
-	mux := http.NewServeMux()
+	mux := serve.NewMux(s, m)
 	jh := jobs.NewHandler(m)
 	mux.Handle("/train", jh)
 	mux.Handle("/jobs", jh)
 	mux.Handle("/jobs/", jh)
-	mux.Handle("/metrics", obs.MetricsHandler(s.Metrics(), m.Metrics()))
-	mux.Handle("/debug/traces", obs.TracesHandler(s.Tracer(), m.Tracer()))
-	mux.Handle("/debug/events", obs.EventsHandler(s.Events(), m.Events()))
-	mux.Handle("/debug/slo", slo.Handler(s.SLO(), m.SLO()))
-	flight := s.Flight()
-	if flight == nil {
-		flight = m.Flight()
-	}
-	mux.Handle("/debug/flight", obs.FlightHandler(flight))
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if s.Draining() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			io.WriteString(w, "draining\n")
-			return
-		}
-		if len(s.Models()) == 0 && !m.Accepting() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			io.WriteString(w, "not ready\n")
-			return
-		}
-		if slo.AnyPaging(s.SLO(), m.SLO()) {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			io.WriteString(w, "degraded: slo page\n")
-			return
-		}
-		io.WriteString(w, "ok\n")
-	})
-	mux.Handle("/", serve.NewHandler(s))
 	return mux
 }
 

@@ -1,19 +1,16 @@
 // Observability: wire serving, the training-job manager, and the per-job
-// trainers onto ONE metrics registry, ONE trace ring, and ONE wide-event
-// log, then read the whole process back through the unified endpoints —
-// a Prometheus/OpenMetrics exposition at /metrics, per-request span
-// traces at /debug/traces, and structured wide events at /debug/events.
+// trainers onto ONE metrics registry and ONE wide-event log, then read
+// the whole process back through the unified endpoints — a
+// Prometheus/OpenMetrics exposition at /metrics and structured wide
+// events at /debug/events.
 //
 // The walkthrough drives the full train → serve loop over HTTP (the same
 // combined handler `eigenpro serve` mounts), then prints:
 //
-//   - the trace of one predict request (enqueue → batch-wait →
-//     device-execute), located in the ring by the trace ID the HTTP
-//     response echoed back;
-//   - the trace of the training job (submit → queue → epoch[k] →
-//     register);
-//   - the same trace ID resolved on the other two surfaces: the
-//     OpenMetrics latency-bucket exemplar and the request's wide event;
+//   - the OpenMetrics latency-bucket exemplar carrying the trace ID the
+//     predict response echoed back;
+//   - the request's wide event, found by that ID at
+//     /debug/events?trace_id= (queue wait, device time, micro-batch);
 //   - the wide-event history of the training job (every state
 //     transition plus one train.epoch record per epoch);
 //   - a trimmed /metrics scrape showing serving, jobs, trainer, and Go
@@ -25,7 +22,7 @@
 // healthy) plus a synthetic availability objective fed by demo counters,
 // drives the synthetic one to a breach, and watches the alert walk
 // ok → warn → page: /readyz degrades, a diagnosis snapshot (CPU/heap
-// profiles, goroutines, recent wide events, traces, metrics) lands on
+// profiles, goroutines, recent wide events, metrics) lands on
 // disk, and /debug/flight serves it back.
 package main
 
@@ -46,13 +43,11 @@ import (
 )
 
 func main() {
-	// One registry, one trace ring, and one wide-event log for the whole
-	// process. Passing the same trio to both configs is the entire
-	// integration story: serving counters, job-state gauges, per-epoch
-	// training telemetry, and every wide event all land on the same
-	// endpoints.
+	// One registry and one wide-event log for the whole process. Passing
+	// the same pair to both configs is the entire integration story:
+	// serving counters, job-state gauges, per-epoch training telemetry,
+	// and every wide event all land on the same endpoints.
 	reg := eigenpro.NewMetricsRegistry()
-	tracer := eigenpro.NewTracer(0)   // 0 = default ring capacity
 	events := eigenpro.NewEventLog(0) // 0 = default 4096-event ring
 	// In production, sample steady-state ok events (errors, sheds, and
 	// expiries are always kept) and mirror to a JSON-lines sink:
@@ -102,7 +97,6 @@ func main() {
 
 	srv := eigenpro.NewServer(eigenpro.ServerConfig{
 		Metrics: reg,
-		Tracer:  tracer,
 		Events:  events,
 		SLO:     sloEval,
 		Flight:  flight,
@@ -112,7 +106,6 @@ func main() {
 		Workers:   1,
 		Registrar: srv, // finished jobs auto-register on the server
 		Metrics:   reg,
-		Tracer:    tracer,
 		Events:    events,
 	})
 	defer mgr.Close()
@@ -131,7 +124,7 @@ func main() {
 		log.Fatal(err)
 	}
 	resp.Body.Close()
-	fmt.Printf("submitted job %s (trace %s)\n", job.ID, job.TraceID)
+	fmt.Printf("submitted job %s\n", job.ID)
 	for {
 		cur, ok := eigenpro.JobStatus(mgr, job.ID)
 		if !ok || cur.State == eigenpro.JobFailed {
@@ -161,39 +154,9 @@ func main() {
 	pr.Body.Close()
 	fmt.Printf("predicted label %d (trace %s)\n\n", pred.Labels[0], pred.TraceID)
 
-	// Pull the shared trace ring and print the two traces we hold IDs
-	// for: the predict request and the training job.
-	tr, err := http.Get(ts.URL + "/debug/traces")
-	if err != nil {
-		log.Fatal(err)
-	}
-	var ring struct {
-		Traces []struct {
-			ID    string `json:"id"`
-			Name  string `json:"name"`
-			Spans []struct {
-				Name     string        `json:"name"`
-				Duration time.Duration `json:"duration_ns"`
-			} `json:"spans"`
-		} `json:"traces"`
-	}
-	if err := json.NewDecoder(tr.Body).Decode(&ring); err != nil {
-		log.Fatal(err)
-	}
-	tr.Body.Close()
-	for _, snap := range ring.Traces {
-		if snap.ID != pred.TraceID && snap.ID != job.TraceID {
-			continue
-		}
-		fmt.Printf("trace %s (%s):\n", snap.ID, snap.Name)
-		for _, sp := range snap.Spans {
-			fmt.Printf("  %-16s %v\n", sp.Name, sp.Duration.Round(time.Microsecond))
-		}
-	}
-
-	// The same trace ID resolves on the other two surfaces. Surface two:
-	// the OpenMetrics exposition (content-negotiated via Accept) attaches
-	// it to the latency bucket the request landed in as an exemplar.
+	// The trace ID resolves on two surfaces. First, the OpenMetrics
+	// exposition (content-negotiated via Accept) attaches it to the
+	// latency bucket the request landed in as an exemplar.
 	req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
 	req.Header.Set("Accept", "application/openmetrics-text")
 	omr, err := http.DefaultClient.Do(req)
@@ -212,9 +175,10 @@ func main() {
 		}
 	}
 
-	// Surface three: the request's wide event at /debug/events, filtered
-	// the way an incident query would be.
-	er, err := http.Get(ts.URL + "/debug/events?kind=serve.request&model=susy&outcome=ok")
+	// Second, /debug/events?trace_id= returns the request's wide event:
+	// how long it queued, how long the device took, and which
+	// micro-batch carried it.
+	er, err := http.Get(ts.URL + "/debug/events?trace_id=" + pred.TraceID)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -228,17 +192,15 @@ func main() {
 	}
 	er.Body.Close()
 	for _, ev := range evPayload.Events {
-		if ev.TraceID != pred.TraceID {
-			continue
-		}
 		fmt.Printf("\nwide event for trace %s:\n", ev.TraceID)
 		fmt.Printf("  batch %d (occupancy %d), queue wait %v, device time %v\n",
 			ev.BatchID, ev.Occupancy, ev.QueueWait.Round(time.Microsecond),
 			ev.DeviceTime.Round(time.Microsecond))
 	}
 
-	// The training job left a wide-event history too: one job.state
-	// record per lifecycle transition and one train.epoch per epoch.
+	// The training job's record is its wide-event history: one job.state
+	// record per lifecycle transition (the done record's wall is the time
+	// spent registering the model) and one train.epoch per epoch.
 	fmt.Printf("\njob %s event history (newest first, %d kept / %d sampled out):\n",
 		job.ID, evPayload.Emitted, evPayload.Dropped)
 	jr, err := http.Get(ts.URL + "/debug/events?job=" + job.ID)
@@ -258,7 +220,7 @@ func main() {
 			fmt.Printf("  train.epoch  epoch %d  mse %.3g  wall %v\n",
 				ev.Epoch, ev.MSE, ev.Wall.Round(time.Microsecond))
 		case "job.state":
-			fmt.Printf("  job.state    -> %s\n", ev.Outcome)
+			fmt.Printf("  job.state    -> %-9s wall %v\n", ev.Outcome, ev.Wall.Round(time.Microsecond))
 		}
 	}
 

@@ -24,11 +24,12 @@ const obsSampleEvery = 8
 // study: the serving hot path driven with instrumentation minimized or
 // maximized.
 type ObsOverheadPoint struct {
-	// Instrumented is false for the baseline (tracing disabled, events
-	// disabled, no concurrent scrapes) and true for the worst case (every
-	// request traced with a latency exemplar, a wide event emitted per
-	// request into a sinked log, /metrics rendered continuously in
-	// OpenMetrics form during the load).
+	// Instrumented is false for the baseline (events disabled, no
+	// concurrent scrapes, no SLO evaluator) and true for the worst case (a
+	// wide event emitted per request into a sinked log, /metrics rendered
+	// continuously in OpenMetrics form during the load, SLOs evaluated).
+	// Both modes give every request a trace ID and a latency exemplar:
+	// they are always on, like the counters.
 	Instrumented bool
 	// Requests is the number of completed predictions.
 	Requests int64
@@ -48,29 +49,27 @@ type ObsOverheadPoint struct {
 	SLOEvalCost time.Duration
 }
 
-// runObsPoint drives the serving hot path once. Instrumented mode traces
-// every request (landing per-bucket latency exemplars), emits a wide
-// event per request into a log sampling ok outcomes 1-in-obsSampleEvery
-// with a JSON-lines sink attached, renders the OpenMetrics exposition
+// runObsPoint drives the serving hot path once. Instrumented mode emits a
+// wide event per request into a log sampling ok outcomes
+// 1-in-obsSampleEvery with a JSON-lines sink attached, renders the
+// OpenMetrics exposition
 // (exemplars included) every millisecond for the duration — orders of
 // magnitude more often than any real scraper, but still paced: an unpaced
 // busy loop would measure CPU theft by the scraper goroutine, not
 // instrumentation cost on the request path — and runs a live SLO
 // burn-rate evaluator (availability + latency objectives polling the
 // serving registry every 10ms, 100x a production cadence) with an armed
-// flight recorder behind it. The baseline disables tracing and event
-// logging (the metric counters themselves are always on: they are single
-// atomics and cannot be unwired).
+// flight recorder behind it. The baseline disables event logging (the
+// metric counters, the per-request trace ID, and its latency exemplar are
+// always on and cannot be unwired).
 func runObsPoint(m *core.Model, clients, perClient int, instrumented bool) (ObsOverheadPoint, error) {
 	cfg := serve.Config{
 		QueueDepth: clients*perClient + 1,
 		Workers:    1,
 		MaxLatency: time.Millisecond,
 		Timeout:    -1,
-		TraceEvery: -1,
 	}
 	if instrumented {
-		cfg.TraceEvery = 1
 		cfg.Events = obs.NewEventLog(0)
 		cfg.Events.SetSampleEvery(obsSampleEvery)
 		cfg.Events.SetSink(io.Discard, obs.LevelInfo)
@@ -215,10 +214,9 @@ func OverheadFraction(base, inst ObsOverheadPoint) float64 {
 }
 
 // ObsOverhead renders ObsOverheadStudy as a report: the serving hot path
-// with tracing and event logging off vs every request traced (with
-// latency exemplars), a wide event per request, continuous OpenMetrics
-// scraping, and a live SLO burn-rate evaluator with an armed flight
-// recorder.
+// with event logging off vs a wide event per request, continuous
+// OpenMetrics scraping (latency exemplars included), and a live SLO
+// burn-rate evaluator with an armed flight recorder.
 func ObsOverhead(scale Scale) (*Report, error) {
 	points, err := ObsOverheadStudy(scale, 3)
 	if err != nil {
@@ -226,7 +224,7 @@ func ObsOverhead(scale Scale) (*Report, error) {
 	}
 	rep := &Report{
 		ID:     "obs-overhead",
-		Title:  "observability overhead on the serving hot path (tracing + exemplars + wide events + continuous OpenMetrics scraping + SLO evaluation with an armed flight recorder)",
+		Title:  "observability overhead on the serving hot path (wide events + continuous OpenMetrics scraping with exemplars + SLO evaluation with an armed flight recorder)",
 		Header: []string{"attempt", "mode", "requests", "wall req/s", "scrapes", "events", "dropped", "slo eval/tick", "overhead"},
 	}
 	best := 1.0
@@ -244,7 +242,7 @@ func ObsOverhead(scale Scale) (*Report, error) {
 			fmtEvalPerTick(inst), fmtPct(ov))
 	}
 	rep.AddNote("best-of-%d overhead: %s (acceptance bound: < 5%%)", len(points)/2, fmtPct(best))
-	rep.AddNote("baseline disables tracing and event logging; counters/histograms are lock-free atomics and always on")
+	rep.AddNote("baseline disables event logging; counters/histograms, the per-request trace ID and its latency exemplar are lock-free and always on")
 	rep.AddNote("instrumented mode samples ok events 1-in-%d (head+tail: warn/error always kept); dropped counts the sampled-out", obsSampleEvery)
 	rep.AddNote("slo eval/tick is the wall cost of one burn-rate pass (availability + latency objectives at a 10ms cadence, 100x production)")
 	return rep, nil

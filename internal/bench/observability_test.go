@@ -2,11 +2,11 @@ package bench
 
 import "testing"
 
-// TestObsOverheadUnder5Percent checks the PR's acceptance criterion: full
-// instrumentation (every request traced with exemplars, a wide event per
-// request, OpenMetrics scraped continuously, SLO burn rates evaluated at
-// a 10ms cadence with an armed flight recorder) must cost the serving hot
-// path less than 5% wall throughput. Wall-clock noise dwarfs an overhead
+// TestObsOverheadUnder5Percent checks the observability cost bound: full
+// instrumentation (a wide event per request, OpenMetrics with exemplars
+// scraped continuously, SLO burn rates evaluated at a 10ms cadence with
+// an armed flight recorder) must cost the serving hot path less than 5%
+// wall throughput. Wall-clock noise dwarfs an overhead
 // this small, so the study measures several (baseline, instrumented)
 // pairs and the best pair decides — a systematic regression past 5%
 // fails every pair, while scheduler jitter does not.

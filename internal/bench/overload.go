@@ -62,7 +62,6 @@ func runOverloadPoint(m *core.Model, mmax, clients, perClient, cancelEvery int, 
 		QueueDepth: 4 * clients,
 		Timeout:    timeout,
 		Shed:       shed,
-		TraceEvery: -1,
 	})
 	defer s.Close()
 	if err := s.Register("m", m); err != nil {

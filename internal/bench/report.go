@@ -4,10 +4,9 @@
 // series of the original table/figure.
 //
 // Absolute numbers differ from the paper — the substrate is a simulated
-// device and the datasets are scaled-down synthetics (see DESIGN.md §2) —
-// but the comparisons the paper draws (who wins, by what factor, where the
-// curves bend) are reproduced. EXPERIMENTS.md records paper-vs-measured for
-// every report.
+// device (internal/device) and the datasets are scaled-down synthetics
+// (internal/data) — but the comparisons the paper draws (who wins, by what
+// factor, where the curves bend) are reproduced.
 package bench
 
 import (

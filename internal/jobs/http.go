@@ -13,8 +13,6 @@ import (
 	"eigenpro/internal/data"
 	"eigenpro/internal/kernel"
 	"eigenpro/internal/mat"
-	"eigenpro/internal/obs"
-	"eigenpro/internal/obs/slo"
 )
 
 // NewHandler exposes a Manager over HTTP JSON:
@@ -25,20 +23,13 @@ import (
 //	POST   /jobs/{id}/cancel  stop at the next epoch boundary (checkpointing)
 //	POST   /jobs/{id}/resume  continue a cancelled job bit-for-bit
 //	DELETE /jobs/{id}         evict a terminal job (frees data and model)
-//	GET    /metrics           metric exposition (Prometheus text, or OpenMetrics
-//	                          under Accept: application/openmetrics-text)
-//	GET    /debug/traces      recent job span traces (JSON; ?id= and ?limit=)
-//	GET    /debug/events      recent wide events (JSON; ?job=&outcome=&since=&limit=)
-//	GET    /debug/slo         SLO objectives, burn rates, budget, alert history (JSON)
-//	GET    /debug/flight      flight-recorder snapshots (JSON; ?snapshot= and ?file=)
-//	GET    /healthz           liveness
-//	GET    /readyz            readiness: 200 while the manager accepts jobs;
-//	                          503 "degraded" while an SLO objective is paging
 //
 // Combined with the serving handler on one mux (eigenpro.NewTrainServeHandler),
 // a model trained via POST /train is immediately servable via POST
 // /v1/predict under the submitted name — the full train → serve loop over
-// one server.
+// one server. That mux also serves the manager's metrics, events, SLO
+// status, and readiness (serve.NewMux); a job's history is its job.state
+// and train.epoch events at GET /debug/events?job=<id>.
 func NewHandler(m *Manager) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/train", func(w http.ResponseWriter, r *http.Request) {
@@ -57,27 +48,6 @@ func NewHandler(m *Manager) http.Handler {
 	})
 	mux.HandleFunc("/jobs/", func(w http.ResponseWriter, r *http.Request) {
 		handleJob(m, w, r)
-	})
-	mux.Handle("/metrics", obs.MetricsHandler(m.Metrics()))
-	mux.Handle("/debug/traces", obs.TracesHandler(m.Tracer()))
-	mux.Handle("/debug/events", obs.EventsHandler(m.Events()))
-	mux.Handle("/debug/slo", slo.Handler(m.SLO()))
-	mux.Handle("/debug/flight", obs.FlightHandler(m.Flight()))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
-		if !m.Accepting() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "not ready")
-			return
-		}
-		if m.SLO().Paging() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "degraded: slo page")
-			return
-		}
-		fmt.Fprintln(w, "ok")
 	})
 	return mux
 }

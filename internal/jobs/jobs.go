@@ -71,9 +71,6 @@ type Config struct {
 	// via Manager.Metrics). Pass a serving Server's registry to expose
 	// everything from one /metrics endpoint.
 	Metrics *obs.Registry
-	// Tracer records one span trace per job (submit → queue → epoch[k] →
-	// checkpoint/register); nil creates a private tracer.
-	Tracer *obs.Tracer
 	// Events receives one wide obs.Event per job lifecycle transition
 	// (kind "job.state") and per completed training epoch (kind
 	// "train.epoch"). nil disables event logging. Pass a serving Server's
@@ -81,12 +78,13 @@ type Config struct {
 	Events *obs.EventLog
 	// SLO is the burn-rate evaluator judging this manager's telemetry
 	// (typically a training_progress objective reading the shared event
-	// log). The manager never calls into it; carrying it here lets
-	// NewHandler mount GET /debug/slo and degrade /readyz while an
-	// objective is paging. nil disables both.
+	// log). The manager never calls into it; carrying it here lets the
+	// combined train-and-serve handler serve it at GET /debug/slo and
+	// degrade /readyz while an objective is paging.
 	SLO *slo.Evaluator
-	// Flight is the breach-triggered flight recorder whose snapshots
-	// NewHandler serves at GET /debug/flight; nil disables the endpoint.
+	// Flight is the breach-triggered flight recorder whose snapshots the
+	// combined train-and-serve handler serves at GET /debug/flight when
+	// the server has none.
 	Flight *obs.FlightRecorder
 	// StateDir, when non-empty, selects persistent mode: every lifecycle
 	// transition is appended to a checksummed journal under this
@@ -187,8 +185,6 @@ type Info struct {
 	// Recovered reports that this job was restored from the durable
 	// journal by a restarted manager.
 	Recovered bool `json:"recovered,omitempty"`
-	// TraceID names the job's span trace at /debug/traces.
-	TraceID string `json:"trace_id,omitempty"`
 }
 
 // job is the manager's mutable record for one submission.
@@ -198,11 +194,6 @@ type job struct {
 
 	spec Spec
 	info Info
-
-	// tr is the job's lifecycle trace; enq is when the job last entered
-	// the queue (submit or resume), the start of its "queue" span.
-	tr  *obs.Trace
-	enq time.Time
 
 	// cancelRequested is latched by Cancel; cancelCh wakes the running
 	// worker and is re-armed by Resume.
@@ -293,9 +284,6 @@ func Open(cfg Config) (*Manager, error) {
 	if cfg.Metrics == nil {
 		cfg.Metrics = obs.NewRegistry()
 	}
-	if cfg.Tracer == nil {
-		cfg.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
-	}
 	m := &Manager{
 		cfg:   cfg,
 		jobs:  make(map[string]*job),
@@ -349,23 +337,23 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	if name == "" {
 		name = id
 	}
-	now := time.Now()
-	tr := m.cfg.Tracer.Start("job:" + id)
 	j := &job{
 		spec:     spec,
-		tr:       tr,
-		enq:      now,
 		cancelCh: make(chan struct{}),
 		info: Info{
 			ID:        id,
 			Name:      name,
 			State:     StateQueued,
 			Epochs:    spec.Config.Epochs,
-			Submitted: now,
-			TraceID:   tr.ID(),
+			Submitted: time.Now(),
 		},
 	}
 	j.cond = sync.NewCond(&j.mu)
+	// Hold the new job's lock until its submission is journaled and its
+	// queued event emitted: a worker takes j.mu before it records
+	// "started" and "running", so those can never precede them.
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	// Enqueue while still holding the lock: Close sets closed under the
 	// same lock before draining, so no job can slip into the queue after
 	// the drain and sit in StateQueued forever. The send cannot block —
@@ -384,22 +372,23 @@ func (m *Manager) Submit(spec Spec) (string, error) {
 	// may precede "submitted" in the journal.
 	if m.store != nil {
 		if err := m.store.saveSpec(id, spec); err != nil {
-			m.persistFailure(id, tr.ID(), fmt.Errorf("save spec: %w", err))
+			m.persistFailure(id, fmt.Errorf("save spec: %w", err))
 		}
-		m.journal(journalRecord{Type: recSubmitted, Job: id, Name: name}, id, tr.ID())
+		m.journal(journalRecord{Type: recSubmitted, Job: id, Name: name})
 	}
 	m.mu.Unlock()
-	tr.Span("submit", now, time.Now())
 	m.submitted.Inc()
-	m.stateEvent(obs.LevelInfo, id, tr.ID(), StateQueued, "")
+	m.stateEvent(obs.LevelInfo, id, StateQueued, "", 0)
 	return id, nil
 }
 
 // stateEvent emits one job.state wide event for a lifecycle transition
 // (no-op with a nil Config.Events). The new state is the event's Outcome,
 // so /debug/events?outcome=failed surfaces failed jobs the same way
-// outcome=shed surfaces shed requests.
-func (m *Manager) stateEvent(level obs.Level, id, traceID string, state State, errText string) {
+// outcome=shed surfaces shed requests. wall times the work that ended at
+// the transition (registering the model, checkpointing the trainer), 0
+// for none.
+func (m *Manager) stateEvent(level obs.Level, id string, state State, errText string, wall time.Duration) {
 	if m.cfg.Events == nil {
 		return
 	}
@@ -408,15 +397,9 @@ func (m *Manager) stateEvent(level obs.Level, id, traceID string, state State, e
 		Kind:    obs.KindJobState,
 		Job:     id,
 		Outcome: string(state),
-		TraceID: traceID,
+		Wall:    wall,
 		Err:     errText,
 	})
-}
-
-// jobStateEvent is stateEvent reading the id and trace from the job
-// record (both are immutable after Submit publishes the job).
-func (m *Manager) jobStateEvent(level obs.Level, j *job, state State, errText string) {
-	m.stateEvent(level, j.info.ID, j.tr.ID(), state, errText)
 }
 
 // Job returns a snapshot of the job's status.
@@ -473,8 +456,8 @@ func (m *Manager) Cancel(id string) error {
 		j.cancelRequested = true
 		j.info.State = StateCancelled
 		m.cancelled.Inc()
-		m.jobStateEvent(obs.LevelWarn, j, StateCancelled, "")
-		m.journal(journalRecord{Type: recCancelled, Job: id}, id, j.tr.ID())
+		m.stateEvent(obs.LevelWarn, id, StateCancelled, "", 0)
+		m.journal(journalRecord{Type: recCancelled, Job: id})
 		j.cond.Broadcast()
 		return nil
 	case StateRunning:
@@ -516,12 +499,11 @@ func (m *Manager) Resume(id string) error {
 	}
 	j.cancelRequested = false
 	j.cancelCh = make(chan struct{})
-	j.enq = time.Now()
 	j.info.State = StateQueued
 	j.info.Resumes++
 	m.resumed.Inc()
-	m.jobStateEvent(obs.LevelInfo, j, StateQueued, "")
-	m.journal(journalRecord{Type: recResumed, Job: id}, id, j.tr.ID())
+	m.stateEvent(obs.LevelInfo, id, StateQueued, "", 0)
+	m.journal(journalRecord{Type: recResumed, Job: id})
 	j.cond.Broadcast()
 	return nil
 }
@@ -570,9 +552,9 @@ func (m *Manager) Delete(id string) error {
 	core.UnobserveTraining(m.cfg.Metrics, obs.L("job", id))
 	if m.store != nil {
 		if err := m.store.removeJob(id); err != nil {
-			m.persistFailure(id, j.tr.ID(), fmt.Errorf("remove artifacts: %w", err))
+			m.persistFailure(id, fmt.Errorf("remove artifacts: %w", err))
 		}
-		m.journal(journalRecord{Type: recDeleted, Job: id}, id, j.tr.ID())
+		m.journal(journalRecord{Type: recDeleted, Job: id})
 	}
 	return nil
 }
@@ -602,12 +584,12 @@ func (m *Manager) Close() {
 				}
 			})
 			if cancelled {
-				m.jobStateEvent(obs.LevelWarn, j, StateCancelled, "")
+				m.stateEvent(obs.LevelWarn, j.info.ID, StateCancelled, "", 0)
 				// Journaled as interrupted, not cancelled: shutdown is the
 				// system's choice, so a restarted manager re-enqueues the
 				// job instead of waiting for a manual resume.
 				snap := j.snapshot()
-				m.journal(journalRecord{Type: recInterrupted, Job: snap.ID, Epoch: snap.Epoch}, snap.ID, snap.TraceID)
+				m.journal(journalRecord{Type: recInterrupted, Job: snap.ID, Epoch: snap.Epoch})
 			}
 		default:
 			if m.store != nil {
@@ -652,16 +634,16 @@ func (m *Manager) run(j *job) {
 		// Cancelled while queued (or marked by Close); nothing to run.
 		if j.info.State == StateQueued {
 			j.info.State = StateCancelled
-			m.jobStateEvent(obs.LevelWarn, j, StateCancelled, "")
-			m.journal(journalRecord{Type: recCancelled, Job: j.info.ID}, j.info.ID, j.tr.ID())
+			m.stateEvent(obs.LevelWarn, j.info.ID, StateCancelled, "", 0)
+			m.journal(journalRecord{Type: recCancelled, Job: j.info.ID})
 		}
 		j.cond.Broadcast()
 		j.mu.Unlock()
 		return
 	}
 	j.info.State = StateRunning
-	m.jobStateEvent(obs.LevelInfo, j, StateRunning, "")
-	m.journal(journalRecord{Type: recStarted, Job: j.info.ID}, j.info.ID, j.tr.ID())
+	m.stateEvent(obs.LevelInfo, j.info.ID, StateRunning, "", 0)
+	m.journal(journalRecord{Type: recStarted, Job: j.info.ID})
 	if j.info.Started.IsZero() {
 		j.info.Started = time.Now()
 	}
@@ -672,7 +654,6 @@ func (m *Manager) run(j *job) {
 	spec := j.spec
 	snapshot := j.checkpoint
 	cancelCh := j.cancelCh
-	j.tr.Span("queue", j.enq, time.Now())
 	j.cond.Broadcast()
 	j.mu.Unlock()
 
@@ -700,13 +681,11 @@ func (m *Manager) run(j *job) {
 		spec.Config.OnEpoch,
 	)
 	for !t.Done() {
-		epochStart := time.Now()
 		stats, err := t.Step()
 		if err != nil {
 			m.fail(j, err)
 			return
 		}
-		j.tr.Span(fmt.Sprintf("epoch[%d]", stats.Epoch), epochStart, time.Now())
 		onEpoch(stats)
 		j.set(func(i *Info) {
 			i.Epoch = stats.Epoch
@@ -729,9 +708,9 @@ func (m *Manager) run(j *job) {
 		// progress discoverable at recovery.
 		if m.store != nil && stats.Epoch%m.cfg.CheckpointEvery == 0 {
 			if err := m.store.saveCheckpoint(id, t); err != nil {
-				m.persistFailure(id, j.tr.ID(), fmt.Errorf("epoch %d checkpoint: %w", stats.Epoch, err))
+				m.persistFailure(id, fmt.Errorf("epoch %d checkpoint: %w", stats.Epoch, err))
 			} else {
-				m.journal(journalRecord{Type: recEpoch, Job: id, Epoch: stats.Epoch, Checkpoint: true}, id, j.tr.ID())
+				m.journal(journalRecord{Type: recEpoch, Job: id, Epoch: stats.Epoch, Checkpoint: true})
 			}
 		}
 		select {
@@ -759,18 +738,19 @@ func (m *Manager) run(j *job) {
 	modelDurable := false
 	if m.store != nil {
 		if err := m.store.saveModel(id, res.Model); err != nil {
-			m.persistFailure(id, j.tr.ID(), fmt.Errorf("save model: %w", err))
+			m.persistFailure(id, fmt.Errorf("save model: %w", err))
 		} else {
 			modelDurable = true
 		}
 	}
+	var regWall time.Duration
 	if m.cfg.Registrar != nil {
 		regStart := time.Now()
 		if err := m.cfg.Registrar.Register(name, res.Model); err != nil {
 			m.fail(j, fmt.Errorf("jobs: register model %q: %w", name, err))
 			return
 		}
-		j.tr.Span("register", regStart, time.Now())
+		regWall = time.Since(regStart)
 	}
 	m.completed.Inc()
 	j.set(func(i *Info) {
@@ -779,9 +759,9 @@ func (m *Manager) run(j *job) {
 		i.Servable = m.cfg.Registrar != nil
 		i.Checkpointed = false
 	})
-	m.jobStateEvent(obs.LevelInfo, j, StateDone, "")
+	m.stateEvent(obs.LevelInfo, id, StateDone, "", regWall)
 	if modelDurable {
-		m.journal(journalRecord{Type: recDone, Job: id, Epoch: res.Epochs}, id, j.tr.ID())
+		m.journal(journalRecord{Type: recDone, Job: id, Epoch: res.Epochs})
 	}
 }
 
@@ -793,7 +773,7 @@ func (m *Manager) park(j *job, t *core.Trainer, interrupted bool) {
 	ckptStart := time.Now()
 	var buf bytes.Buffer
 	err := t.Checkpoint(&buf)
-	j.tr.Span("checkpoint", ckptStart, time.Now())
+	ckptWall := time.Since(ckptStart)
 	m.cancelled.Inc()
 	j.mu.Lock()
 	if err == nil {
@@ -813,11 +793,11 @@ func (m *Manager) park(j *job, t *core.Trainer, interrupted bool) {
 	ckpt := j.info.Checkpointed
 	j.cond.Broadcast()
 	j.mu.Unlock()
-	m.jobStateEvent(obs.LevelWarn, j, StateCancelled, errText)
+	m.stateEvent(obs.LevelWarn, id, StateCancelled, errText, ckptWall)
 	if m.store != nil {
 		if ckpt {
 			if serr := m.store.saveCheckpointBytes(id, buf.Bytes()); serr != nil {
-				m.persistFailure(id, j.tr.ID(), fmt.Errorf("park checkpoint: %w", serr))
+				m.persistFailure(id, fmt.Errorf("park checkpoint: %w", serr))
 				ckpt = false
 			}
 		}
@@ -825,7 +805,7 @@ func (m *Manager) park(j *job, t *core.Trainer, interrupted bool) {
 		if interrupted {
 			typ = recInterrupted
 		}
-		m.journal(journalRecord{Type: typ, Job: id, Epoch: epoch, Checkpoint: ckpt, Error: errText}, id, j.tr.ID())
+		m.journal(journalRecord{Type: typ, Job: id, Epoch: epoch, Checkpoint: ckpt, Error: errText})
 	}
 }
 
@@ -837,7 +817,7 @@ func (m *Manager) fail(j *job, err error) {
 		i.Error = err.Error()
 		i.Finished = time.Now()
 	})
-	m.jobStateEvent(obs.LevelError, j, StateFailed, err.Error())
+	m.stateEvent(obs.LevelError, j.info.ID, StateFailed, err.Error(), 0)
 	snap := j.snapshot()
-	m.journal(journalRecord{Type: recFailed, Job: snap.ID, Epoch: snap.Epoch, Error: snap.Error}, snap.ID, snap.TraceID)
+	m.journal(journalRecord{Type: recFailed, Job: snap.ID, Epoch: snap.Epoch, Error: snap.Error})
 }

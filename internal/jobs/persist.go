@@ -82,28 +82,27 @@ type journalRecord struct {
 // journal appends one record to the WAL; a persistence failure is
 // tolerated (the in-memory lifecycle proceeds) but counted and surfaced.
 // No-op outside persistent mode, so call sites need no guards.
-func (m *Manager) journal(rec journalRecord, id, traceID string) {
+func (m *Manager) journal(rec journalRecord) {
 	if m.store == nil {
 		return
 	}
 	rec.At = time.Now()
 	if err := m.store.record(rec); err != nil {
-		m.persistFailure(id, traceID, fmt.Errorf("journal %s: %w", rec.Type, err))
+		m.persistFailure(rec.Job, fmt.Errorf("journal %s: %w", rec.Type, err))
 	}
 }
 
 // persistFailure counts a tolerated durability failure and emits the
 // durable.error wide event. Training availability wins over durability:
 // the job keeps running, the operator sees the gap.
-func (m *Manager) persistFailure(id, traceID string, err error) {
+func (m *Manager) persistFailure(id string, err error) {
 	m.persistErrors.Inc()
 	if m.cfg.Events != nil {
 		m.cfg.Events.Emit(obs.Event{
-			Level:   obs.LevelError,
-			Kind:    obs.KindDurableError,
-			Job:     id,
-			TraceID: traceID,
-			Err:     err.Error(),
+			Level: obs.LevelError,
+			Kind:  obs.KindDurableError,
+			Job:   id,
+			Err:   err.Error(),
 		})
 	}
 }
@@ -383,8 +382,6 @@ type folded struct {
 // queue channel until the pool spins up; no lock ordering issues exist
 // yet, but the manager lock is still taken where invariants expect it.
 func (m *Manager) recover(replay durable.Replay) {
-	tr := m.cfg.Tracer.Start("recovery")
-	foldStart := time.Now()
 	byJob := make(map[string]*folded)
 	var order []string
 	for _, raw := range replay.Records {
@@ -392,7 +389,7 @@ func (m *Manager) recover(replay durable.Replay) {
 		if err := json.Unmarshal(raw, &rec); err != nil || rec.Job == "" {
 			// The checksum passed but the payload is not one of ours —
 			// a foreign or version-drifted record. Skip, surface.
-			m.persistFailure("", tr.ID(), fmt.Errorf("recovery: unintelligible journal record %.80q", raw))
+			m.persistFailure("", fmt.Errorf("recovery: unintelligible journal record %.80q", raw))
 			continue
 		}
 		f := byJob[rec.Job]
@@ -412,9 +409,8 @@ func (m *Manager) recover(replay durable.Replay) {
 		}
 		f.last = rec
 	}
-	tr.Span("journal-replay", foldStart, time.Now())
 	if replay.Corrupt > 0 || replay.TruncatedTail {
-		m.persistFailure("", tr.ID(), fmt.Errorf(
+		m.persistFailure("", fmt.Errorf(
 			"recovery: journal damage survived: %d corrupt record(s), truncated tail %v",
 			replay.Corrupt, replay.TruncatedTail))
 	}
@@ -426,7 +422,7 @@ func (m *Manager) recover(replay durable.Replay) {
 		if n := idSeq(id); n > m.seq {
 			m.seq = n
 		}
-		m.recoverJob(id, f, tr)
+		m.recoverJob(id, f)
 	}
 }
 
@@ -445,15 +441,13 @@ func idSeq(id string) int {
 // re-registers its model), anything in flight — submitted, started,
 // mid-epoch, interrupted by shutdown — is re-enqueued to continue from
 // its newest verified checkpoint.
-func (m *Manager) recoverJob(id string, f *folded, rtr *obs.Trace) {
+func (m *Manager) recoverJob(id string, f *folded) {
 	start := time.Now()
 	name := f.name
 	if name == "" {
 		name = id
 	}
-	tr := m.cfg.Tracer.Start("job:" + id)
 	j := &job{
-		tr:       tr,
 		cancelCh: make(chan struct{}),
 		info: Info{
 			ID:        id,
@@ -463,7 +457,6 @@ func (m *Manager) recoverJob(id string, f *folded, rtr *obs.Trace) {
 			Submitted: f.submitted,
 			Resumes:   f.resumes,
 			Recovered: true,
-			TraceID:   tr.ID(),
 		},
 	}
 	j.cond = sync.NewCond(&j.mu)
@@ -507,7 +500,6 @@ func (m *Manager) recoverJob(id string, f *folded, rtr *obs.Trace) {
 		}
 		m.recoverCheckpoint(j, id)
 		j.info.State = StateQueued
-		j.enq = time.Now()
 		select {
 		case m.queue <- j:
 			j.info.Resumes++
@@ -517,7 +509,7 @@ func (m *Manager) recoverJob(id string, f *folded, rtr *obs.Trace) {
 			// restart): leave the job cancelled-with-checkpoint so a
 			// manual resume can still continue it.
 			j.info.State = StateCancelled
-			m.persistFailure(id, tr.ID(), errors.New("recovery: queue full, job left cancelled"))
+			m.persistFailure(id, errors.New("recovery: queue full, job left cancelled"))
 		}
 	}
 
@@ -534,16 +526,15 @@ func (m *Manager) recoverJob(id string, f *folded, rtr *obs.Trace) {
 			Kind:    obs.KindJobRecovered,
 			Job:     id,
 			Outcome: string(snap.State),
-			TraceID: tr.ID(),
 			Epoch:   snap.Epoch,
+			Wall:    time.Since(start),
 			Err:     snap.Error,
 		})
 	}
 	if requeued {
-		m.journal(journalRecord{Type: recResumed, Job: id, Epoch: snap.Epoch, Checkpoint: snap.Checkpointed}, id, tr.ID())
-		m.stateEvent(obs.LevelInfo, id, tr.ID(), StateQueued, "")
+		m.journal(journalRecord{Type: recResumed, Job: id, Epoch: snap.Epoch, Checkpoint: snap.Checkpointed})
+		m.stateEvent(obs.LevelInfo, id, StateQueued, "", 0)
 	}
-	rtr.Span("job:"+id, start, time.Now())
 }
 
 // recoverSpec loads the job's sealed spec; on failure the job is marked
@@ -572,7 +563,7 @@ func (m *Manager) recoverCheckpoint(j *job, id string) {
 	case os.IsNotExist(err):
 		// Never checkpointed; nothing to restore.
 	default:
-		m.persistFailure(id, j.tr.ID(), fmt.Errorf("recovery: checkpoint discarded: %w", err))
+		m.persistFailure(id, fmt.Errorf("recovery: checkpoint discarded: %w", err))
 	}
 }
 
@@ -583,5 +574,5 @@ func (m *Manager) recoveryFail(j *job, err error) {
 	j.info.State = StateFailed
 	j.info.Error = err.Error()
 	j.info.Finished = time.Now()
-	m.persistFailure(j.info.ID, j.tr.ID(), err)
+	m.persistFailure(j.info.ID, err)
 }

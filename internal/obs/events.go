@@ -110,8 +110,8 @@ type Event struct {
 	// Outcome is the terminal disposition: ok, rejected, shed, expired, or
 	// abandoned for requests; the new lifecycle state for job transitions.
 	Outcome string `json:"outcome,omitempty"`
-	// TraceID links the event to its span trace at /debug/traces and to
-	// the latency exemplar at /metrics ("" when the request was unsampled).
+	// TraceID is the predict request's ID: the trace_id its caller got
+	// back and the exemplar label on its latency bucket at /metrics.
 	TraceID string `json:"trace_id,omitempty"`
 
 	// Rows is the number of data rows the request carried.
@@ -132,7 +132,10 @@ type Event struct {
 	// epoch: the 1-based epoch, its ending train MSE, the validation
 	// classification error (0 when no validation set is attached), and the
 	// epoch's wall-clock and simulated-device-busy durations (deltas, not
-	// cumulative).
+	// cumulative). On job.state and job.recovered events Wall times the
+	// work that ended at the transition: registering the model (done),
+	// checkpointing the trainer (cancelled), or restoring the job from
+	// the journal (job.recovered).
 	Epoch      int           `json:"epoch,omitempty"`
 	MSE        float64       `json:"mse,omitempty"`
 	ValError   float64       `json:"val_error,omitempty"`
@@ -169,6 +172,9 @@ type EventLog struct {
 	dropped     atomic.Uint64 // ok events discarded by sampling
 	emitted     atomic.Uint64 // events accepted into the ring
 
+	// hasSink mirrors sink != nil so Emit skips sinkMu when no sink is
+	// attached; writes still happen under the mutex.
+	hasSink  atomic.Bool
 	sinkMu   sync.Mutex
 	sink     io.Writer
 	sinkMin  Level
@@ -200,9 +206,10 @@ func (l *EventLog) SetSampleEvery(n int) {
 }
 
 // SetSink mirrors every kept event at or above min to w as one JSON line
-// per event. Pass nil to detach. The sink write happens under a mutex off
-// the ring's lock-free path; a slow sink slows only emitters that pass the
-// sampling gate.
+// per event. Pass nil to detach: no write starts after SetSink(nil, ...)
+// returns. The sink write happens under a mutex off the ring's lock-free
+// path; a slow sink slows only emitters that pass the sampling gate, and
+// with no sink attached Emit takes no lock at all.
 func (l *EventLog) SetSink(w io.Writer, min Level) {
 	if l == nil {
 		return
@@ -210,6 +217,7 @@ func (l *EventLog) SetSink(w io.Writer, min Level) {
 	l.sinkMu.Lock()
 	l.sink = w
 	l.sinkMin = min
+	l.hasSink.Store(w != nil)
 	l.sinkMu.Unlock()
 }
 
@@ -233,10 +241,13 @@ func (l *EventLog) Emit(ev Event) {
 	slot := l.seq.Add(1) - 1
 	ev.Seq = slot + 1
 	l.ring[slot%uint64(len(l.ring))].Store(&ev)
-	l.sinkTo(&ev)
+	if l.hasSink.Load() {
+		l.sinkTo(&ev)
+	}
 }
 
-// sinkTo writes one event to the attached sink, if any.
+// sinkTo writes one event to the attached sink, if any. The sink is
+// re-checked under the mutex: a SetSink(nil) racing the flag load wins.
 func (l *EventLog) sinkTo(ev *Event) {
 	l.sinkMu.Lock()
 	defer l.sinkMu.Unlock()
@@ -295,9 +306,9 @@ func (l *EventLog) Dropped() uint64 {
 
 // EventQuery filters a Query. Zero fields match everything.
 type EventQuery struct {
-	// Kind, Model, Outcome, and Job match the corresponding event fields
-	// exactly when non-empty.
-	Kind, Model, Outcome, Job string
+	// Kind, Model, Outcome, Job, and TraceID match the corresponding
+	// event fields exactly when non-empty.
+	Kind, Model, Outcome, Job, TraceID string
 	// MinLevel keeps only events at or above this severity.
 	MinLevel Level
 	// Since keeps only events at or after this instant.
@@ -321,6 +332,9 @@ func (q EventQuery) matches(ev *Event) bool {
 		return false
 	}
 	if q.Job != "" && ev.Job != q.Job {
+		return false
+	}
+	if q.TraceID != "" && ev.TraceID != q.TraceID {
 		return false
 	}
 	if ev.Level < q.MinLevel {

@@ -191,7 +191,7 @@ func TestEventLogNilSafe(t *testing.T) {
 }
 
 // TestEventLogConcurrent hammers a small ring with concurrent emitters,
-// queries, and sink writes under -race: Emit's slot claim plus atomic
+// queries, and sink attach/detach under -race: Emit's slot claim plus atomic
 // store must never tear an event, and Query must tolerate racing
 // wraparound.
 func TestEventLogConcurrent(t *testing.T) {
@@ -223,6 +223,22 @@ func TestEventLogConcurrent(t *testing.T) {
 			}
 		}()
 	}
+	// A toggler attaches and detaches a sink while emitters run: Emit's
+	// lock-free no-sink check must never race a sink write.
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sink := &bytes.Buffer{}
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			l.SetSink(sink, LevelInfo)
+			l.SetSink(nil, LevelInfo)
+		}
+	}()
 	for e := 0; e < emitters; e++ {
 		wg.Add(1)
 		go func(e int) {

@@ -8,15 +8,15 @@ import (
 )
 
 // Exemplar is one concrete observation attached to a histogram bucket: the
-// observed value, the trace that produced it, and when. Exposed only in
+// observed value, the request that produced it, and when. Exposed only in
 // the OpenMetrics exposition (`_bucket ... # {trace_id="..."} v ts`), it
-// is the metrics→traces link: a p99 spike in a bucket names a trace whose
-// span breakdown at /debug/traces (and wide event at /debug/events)
-// explains it.
+// is the metrics→events link: a p99 spike in a bucket names a request
+// whose wide event at /debug/events?trace_id= (queue wait, device time,
+// micro-batch) explains it.
 type Exemplar struct {
 	// Value is the observed value (e.g. the request latency in seconds).
 	Value float64
-	// TraceID names the span trace that produced the observation.
+	// TraceID names the request that produced the observation.
 	TraceID string
 	// Time is when the observation happened.
 	Time time.Time

@@ -57,9 +57,6 @@ type FlightConfig struct {
 	// recorder emits its own flight.snapshot record into); nil skips the
 	// events file.
 	Events *EventLog
-	// Tracers are the span rings whose retained traces land in the
-	// snapshot.
-	Tracers []*Tracer
 	// Registries are rendered into the snapshot's metrics expositions
 	// (Go runtime telemetry rides along, as on /metrics).
 	Registries []*Registry
@@ -68,9 +65,9 @@ type FlightConfig struct {
 // FlightRecorder captures debugging snapshots on demand — typically armed
 // under an SLO burn-rate evaluator so every page ships with the evidence
 // needed to diagnose it. One snapshot is a directory containing a CPU
-// profile, a heap profile, a goroutine dump, the newest wide events, the
-// retained span traces, both metrics expositions, and a meta.json trailer
-// (written last, so its presence marks the snapshot complete).
+// profile, a heap profile, a goroutine dump, the newest wide events, both
+// metrics expositions, and a meta.json trailer (written last, so its
+// presence marks the snapshot complete).
 //
 // Capture is asynchronous and rate-limited: the trigger path (an SLO
 // evaluator tick) only performs two atomic checks before handing the slow
@@ -229,15 +226,6 @@ func (f *FlightRecorder) write(dir, reason string, at time.Time, meta map[string
 		}); err != nil {
 			problems["events.jsonl"] = err.Error()
 		}
-	}
-	if err := writeFileWith(filepath.Join(dir, "traces.json"), func(w io.Writer) error {
-		all := []TraceSnapshot{}
-		for _, t := range f.cfg.Tracers {
-			all = append(all, t.Snapshot()...)
-		}
-		return json.NewEncoder(w).Encode(map[string]any{"traces": all})
-	}); err != nil {
-		problems["traces.json"] = err.Error()
 	}
 	regs := dedupRegistries(append(append([]*Registry(nil), f.cfg.Registries...), RuntimeMetrics()))
 	if err := writeFileWith(filepath.Join(dir, "metrics.prom"), func(w io.Writer) error {

@@ -10,19 +10,16 @@ import (
 	"time"
 )
 
-// flightFixture builds a recorder over a temp dir with an event log and a
-// tracer carrying known content, so snapshot files can be checked.
+// flightFixture builds a recorder over a temp dir with an event log
+// carrying known content, so snapshot files can be checked.
 func flightFixture(t *testing.T, cfg FlightConfig) (*FlightRecorder, *EventLog) {
 	t.Helper()
 	log := NewEventLog(64)
 	log.Emit(Event{Kind: KindServeRequest, Model: "m", Outcome: "ok"})
-	tr := NewTracer(8)
-	tr.Start("flight-test-op")
 	if cfg.Dir == "" {
 		cfg.Dir = t.TempDir()
 	}
 	cfg.Events = log
-	cfg.Tracers = []*Tracer{tr}
 	cfg.Registries = []*Registry{NewRegistry()}
 	f, err := NewFlightRecorder(cfg)
 	if err != nil {
@@ -49,7 +46,7 @@ func TestFlightCaptureContents(t *testing.T) {
 	}
 	for _, name := range []string{
 		"cpu.pprof", "heap.pprof", "goroutines.txt",
-		"events.jsonl", "traces.json", "metrics.prom", "metrics.om", "meta.json",
+		"events.jsonl", "metrics.prom", "metrics.om", "meta.json",
 	} {
 		info, err := os.Stat(filepath.Join(dir, name))
 		if err != nil {
@@ -76,10 +73,6 @@ func TestFlightCaptureContents(t *testing.T) {
 	ev, err := os.ReadFile(filepath.Join(dir, "events.jsonl"))
 	if err != nil || !strings.Contains(string(ev), KindServeRequest) {
 		t.Fatalf("events.jsonl missing the wide event: %v %q", err, ev)
-	}
-	tr, err := os.ReadFile(filepath.Join(dir, "traces.json"))
-	if err != nil || !strings.Contains(string(tr), "flight-test-op") {
-		t.Fatalf("traces.json missing the retained trace: %v %q", err, tr)
 	}
 	om, err := os.ReadFile(filepath.Join(dir, "metrics.om"))
 	if err != nil || !strings.HasSuffix(string(om), "# EOF\n") {

@@ -41,7 +41,7 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveEx records one value and, when traceID is non-empty, attaches it
 // to the value's bucket as an OpenMetrics exemplar — the link that lets a
-// latency bucket answer "show me one trace that landed here". The store is
+// latency bucket answer "show me one request that landed here". The store is
 // a single atomic pointer swap; the newest exemplar per bucket wins.
 func (h *Histogram) ObserveEx(v float64, traceID string) {
 	i := h.bucket(v)

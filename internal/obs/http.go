@@ -54,64 +54,6 @@ func dedupRegistries(regs []*Registry) []*Registry {
 	return out
 }
 
-// TracesHandler serves the union of the given tracers' rings as JSON
-// ({"traces": [...]}, newest first, duplicate tracers written once).
-// Query parameters:
-//
-//	?id=<trace_id>  return just that trace (404 when not retained)
-//	?limit=N        return at most the N newest traces
-func TracesHandler(tracers ...*Tracer) http.Handler {
-	seen := make(map[*Tracer]bool, len(tracers))
-	uniq := make([]*Tracer, 0, len(tracers))
-	for _, t := range tracers {
-		if t == nil || seen[t] {
-			continue
-		}
-		seen[t] = true
-		uniq = append(uniq, t)
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.Method != http.MethodGet {
-			http.Error(w, "GET only", http.StatusMethodNotAllowed)
-			return
-		}
-		q := r.URL.Query()
-		if id := q.Get("id"); id != "" {
-			for _, t := range uniq {
-				if snap, ok := t.Find(id); ok {
-					writeJSON(w, http.StatusOK, map[string]any{"traces": []TraceSnapshot{snap}})
-					return
-				}
-			}
-			writeJSON(w, http.StatusNotFound, map[string]any{"error": "unknown trace id " + id})
-			return
-		}
-		all := []TraceSnapshot{}
-		for _, t := range uniq {
-			all = append(all, t.Snapshot()...)
-		}
-		// Each ring is newest-first; merging several needs a global sort to
-		// keep the limit meaningful.
-		if len(uniq) > 1 {
-			sortTracesNewestFirst(all)
-		}
-		if limit, err := strconv.Atoi(q.Get("limit")); err == nil && limit >= 0 && limit < len(all) {
-			all = all[:limit]
-		}
-		writeJSON(w, http.StatusOK, map[string]any{"traces": all})
-	})
-}
-
-// sortTracesNewestFirst orders snapshots by start time, newest first
-// (insertion sort: rings are small and mostly ordered already).
-func sortTracesNewestFirst(ts []TraceSnapshot) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0 && ts[j].Start.After(ts[j-1].Start); j-- {
-			ts[j], ts[j-1] = ts[j-1], ts[j]
-		}
-	}
-}
-
 // EventsHandler serves the union of the given event logs as JSON:
 //
 //	{"events": [...], "emitted": N, "dropped": N}
@@ -122,6 +64,7 @@ func sortTracesNewestFirst(ts []TraceSnapshot) {
 //	?model=     serving model name
 //	?outcome=   request outcome or job state ("ok", "shed", "failed", ...)
 //	?job=       training job id
+//	?trace_id=  predict request ID (the trace_id a predict response echoed)
 //	?level=     minimum severity ("info", "warn", "error")
 //	?since=     an integer event sequence number (events after that cursor),
 //	            an RFC 3339 instant, or a Go duration meaning "this long ago"
@@ -180,6 +123,7 @@ func parseEventQuery(r *http.Request) (EventQuery, error) {
 		Model:   v.Get("model"),
 		Outcome: v.Get("outcome"),
 		Job:     v.Get("job"),
+		TraceID: v.Get("trace_id"),
 		Limit:   defaultEventLimit,
 	}
 	if lv := v.Get("level"); lv != "" {

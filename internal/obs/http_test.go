@@ -107,99 +107,6 @@ func TestRuntimeHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestTracesHandlerByID(t *testing.T) {
-	tc := NewTracer(4)
-	tr := tc.Start("http.predict")
-	tr.StartSpan("queue-wait")()
-	for i := 0; i < 3; i++ {
-		tc.Start("filler")
-	}
-	srv := httptest.NewServer(TracesHandler(tc))
-	defer srv.Close()
-
-	resp, err := srv.Client().Get(srv.URL + "?id=" + tr.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("?id= lookup status %d", resp.StatusCode)
-	}
-	var body struct {
-		Traces []TraceSnapshot `json:"traces"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Traces) != 1 || body.Traces[0].ID != tr.ID() {
-		t.Fatalf("?id= returned %+v", body.Traces)
-	}
-
-	resp404, err := srv.Client().Get(srv.URL + "?id=no-such-trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp404.Body.Close()
-	if resp404.StatusCode != http.StatusNotFound {
-		t.Fatalf("unknown id status %d, want 404", resp404.StatusCode)
-	}
-	var e struct {
-		Error string `json:"error"`
-	}
-	if err := json.NewDecoder(resp404.Body).Decode(&e); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(e.Error, "no-such-trace") {
-		t.Fatalf("404 body %+v should name the id", e)
-	}
-}
-
-func TestTracesHandlerLimit(t *testing.T) {
-	tc := NewTracer(8)
-	for i := 0; i < 5; i++ {
-		tc.Start("t")
-	}
-	srv := httptest.NewServer(TracesHandler(tc))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "?limit=2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Traces []TraceSnapshot `json:"traces"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Traces) != 2 {
-		t.Fatalf("?limit=2 returned %d traces", len(body.Traces))
-	}
-}
-
-func TestTracesHandlerMergesTracers(t *testing.T) {
-	a, b := NewTracer(4), NewTracer(4)
-	a.Start("old-a")
-	b.Start("old-b")
-	newest := a.Start("newest")
-	srv := httptest.NewServer(TracesHandler(a, b))
-	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "?limit=1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var body struct {
-		Traces []TraceSnapshot `json:"traces"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
-		t.Fatal(err)
-	}
-	if len(body.Traces) != 1 || body.Traces[0].ID != newest.ID() {
-		t.Fatalf("cross-tracer merge with limit=1 returned %+v, want the newest trace", body.Traces)
-	}
-}
-
 func TestEventsHandler(t *testing.T) {
 	serveLog := NewEventLog(16)
 	jobLog := NewEventLog(16)
@@ -257,6 +164,12 @@ func TestEventsHandler(t *testing.T) {
 	}
 	if _, r := query("?job=j1"); len(r.Events) != 2 {
 		t.Fatalf("?job=j1 returned %d events, want 2", len(r.Events))
+	}
+	if _, r := query("?trace_id=t1"); len(r.Events) != 1 || r.Events[0].TraceID != "t1" {
+		t.Fatalf("?trace_id=t1 returned %+v, want the one event carrying it", r.Events)
+	}
+	if _, r := query("?trace_id=bogus"); len(r.Events) != 0 {
+		t.Fatalf("?trace_id=bogus returned %+v, want none", r.Events)
 	}
 	if _, r := query("?kind=" + KindTrainEpoch); len(r.Events) != 1 || r.Events[0].MSE != 0.5 {
 		t.Fatalf("?kind=train.epoch returned %+v", r.Events)
@@ -325,5 +238,18 @@ func TestEventsHandlerEmpty(t *testing.T) {
 	b, _ := io.ReadAll(resp.Body)
 	if !strings.Contains(string(b), `"events":[]`) {
 		t.Fatalf("empty handler body %q should carry an empty array, not null", b)
+	}
+}
+
+func TestPprofHandler(t *testing.T) {
+	srv := httptest.NewServer(PprofHandler())
+	defer srv.Close()
+	resp, err := srv.Client().Get(srv.URL + "/debug/pprof/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("pprof index status %d", resp.StatusCode)
 	}
 }

@@ -1,7 +1,8 @@
 // Package obs is the unified observability layer: a dependency-free
 // metrics registry (counters, gauges, fixed-bucket histograms with
 // quantile estimation) with Prometheus-text exposition, plus a bounded
-// in-memory tracer that assigns an ID per request and records spans.
+// wide-event log holding one record per served request, training epoch,
+// and job transition, linked to latency exemplars by a per-request ID.
 //
 // The serving path (internal/serve), the training-job manager
 // (internal/jobs), and the trainer telemetry hook (core.ObserveTraining)

@@ -4,15 +4,13 @@ import (
 	"context"
 	"sync/atomic"
 	"time"
-
-	"eigenpro/internal/obs"
 )
 
 // request is one queued Predict call.
 type request struct {
 	x        []float64
 	ctx      context.Context // caller's context; canceled means abandoned
-	tr       *obs.Trace      // nil unless this request is traced
+	id       string          // trace ID on the wide event and latency exemplar
 	enq      time.Time
 	deadline time.Time // zero means none
 	out      []float64

@@ -41,24 +41,45 @@ const (
 //	GET  /v1/models         list registered model names
 //	PUT  /v1/models/{name}  gob model body (core.SaveModel) → register/hot-swap
 //	GET  /v1/stats          serving counters
-//	GET  /metrics           metric exposition (Prometheus text, or OpenMetrics
-//	                        with exemplars under Accept: application/openmetrics-text)
-//	GET  /debug/traces      recent request span traces (JSON; ?id= and ?limit=)
-//	GET  /debug/events      recent wide events (JSON; ?model=&outcome=&since=&limit=)
-//	GET  /debug/slo         SLO objectives, burn rates, budget, alert history (JSON)
-//	GET  /debug/flight      flight-recorder snapshots (JSON; ?snapshot= and ?file=)
-//	GET  /healthz           liveness
-//	GET  /readyz            readiness: 200 once at least one model is
-//	                        registered; 503 "degraded" while an SLO
-//	                        objective is paging
 //
-// Each row of a predict request is routed through the batcher individually,
-// so concurrent HTTP clients (and the rows of one multi-row request)
-// coalesce into shared device-saturating micro-batches. Sampled predict
-// requests (Config.TraceEvery) get a trace whose ID is echoed in the
-// X-Trace-Id response header and the trace_id response field; its spans
-// are readable at /debug/traces.
-func NewHandler(s *Server) http.Handler {
+// plus the observability and health endpoints NewMux documents. Each row
+// of a predict request is routed through the batcher individually, so
+// concurrent HTTP clients (and the rows of one multi-row request)
+// coalesce into shared device-saturating micro-batches. Every predict
+// request gets one trace ID, echoed in the X-Trace-Id response header
+// and the trace_id response field; GET /debug/events?trace_id= returns
+// the request's wide events, and the OpenMetrics latency bucket it
+// landed in carries the ID as an exemplar.
+func NewHandler(s *Server) http.Handler { return NewMux(s, nil) }
+
+// Manager is what the shared observability endpoints read from a
+// training-job manager served beside the Server; *jobs.Manager
+// satisfies it (this package cannot import jobs).
+type Manager interface {
+	Metrics() *obs.Registry
+	Events() *obs.EventLog
+	SLO() *slo.Evaluator
+	Flight() *obs.FlightRecorder
+	Accepting() bool
+}
+
+// NewMux returns a mux serving the NewHandler endpoints of s plus, merged
+// over s and m (m may be nil):
+//
+//	GET  /metrics       metric exposition (Prometheus text, or OpenMetrics
+//	                    with exemplars under Accept: application/openmetrics-text)
+//	GET  /debug/events  recent wide events (JSON; ?kind=&model=&job=&trace_id=&since=&limit=)
+//	GET  /debug/slo     SLO objectives, burn rates, budget, alert history (JSON)
+//	GET  /debug/flight  flight-recorder snapshots (JSON; ?snapshot= and ?file=)
+//	GET  /healthz       liveness
+//	GET  /readyz        readiness, checked in order: 503 "draining" once
+//	                    Server.Drain has begun; 503 "not ready" while no
+//	                    model is registered and m is nil or not accepting
+//	                    jobs; 503 "degraded: slo page" while an SLO
+//	                    objective pages; else 200 "ok"
+//
+// Callers add their own routes (the training-job endpoints) to it.
+func NewMux(s *Server, m Manager) *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/predict", func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -102,44 +123,48 @@ func NewHandler(s *Server) http.Handler {
 	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, s.Stats())
 	})
-	mux.Handle("/metrics", obs.MetricsHandler(s.Metrics()))
-	mux.Handle("/debug/traces", obs.TracesHandler(s.Tracer()))
-	mux.Handle("/debug/events", obs.EventsHandler(s.Events()))
-	mux.Handle("/debug/slo", slo.Handler(s.SLO()))
-	mux.Handle("/debug/flight", obs.FlightHandler(s.Flight()))
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintln(w, "ok")
-	})
-	mux.HandleFunc("/readyz", readyHandler(
-		func() bool { return len(s.Models()) > 0 }, s.Draining, s.SLO()))
+	mountObservability(mux, s, m)
 	return mux
 }
 
-// readyHandler returns a readiness endpoint: 200 "ok" when ready reports
-// true, 503 otherwise. A draining server reports 503 "draining" so load
-// balancers stop routing new traffic here during graceful shutdown, and a
-// paging SLO objective degrades a ready process to 503 "degraded: slo page"
-// so orchestrators stop routing new traffic at a server that is blowing its
-// budget.
-func readyHandler(ready, draining func() bool, ev *slo.Evaluator) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if draining != nil && draining() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "draining")
-			return
+// mountObservability mounts the NewMux observability and health
+// endpoints, merging s's telemetry with m's when m is non-nil. A shared
+// registry, event log, or evaluator is served once.
+func mountObservability(mux *http.ServeMux, s *Server, m Manager) {
+	regs := []*obs.Registry{s.Metrics()}
+	logs := []*obs.EventLog{s.Events()}
+	evs := []*slo.Evaluator{s.SLO()}
+	flight := s.Flight()
+	accepting := func() bool { return false }
+	if m != nil {
+		regs = append(regs, m.Metrics())
+		logs = append(logs, m.Events())
+		evs = append(evs, m.SLO())
+		if flight == nil {
+			flight = m.Flight()
 		}
-		if !ready() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "not ready")
-			return
-		}
-		if ev.Paging() {
-			w.WriteHeader(http.StatusServiceUnavailable)
-			fmt.Fprintln(w, "degraded: slo page")
-			return
-		}
-		fmt.Fprintln(w, "ok")
+		accepting = m.Accepting
 	}
+	mux.Handle("/metrics", obs.MetricsHandler(regs...))
+	mux.Handle("/debug/events", obs.EventsHandler(logs...))
+	mux.Handle("/debug/slo", slo.Handler(evs...))
+	mux.Handle("/debug/flight", obs.FlightHandler(flight))
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintln(w, "ok")
+	})
+	mux.HandleFunc("/readyz", func(w http.ResponseWriter, r *http.Request) {
+		status, msg := http.StatusOK, "ok"
+		switch {
+		case s.Draining():
+			status, msg = http.StatusServiceUnavailable, "draining"
+		case len(s.Models()) == 0 && !accepting():
+			status, msg = http.StatusServiceUnavailable, "not ready"
+		case slo.AnyPaging(evs...):
+			status, msg = http.StatusServiceUnavailable, "degraded: slo page"
+		}
+		w.WriteHeader(status)
+		fmt.Fprintln(w, msg)
+	})
 }
 
 // predictRequest is the POST /v1/predict body; X carries one query, XS a
@@ -151,8 +176,8 @@ type predictRequest struct {
 }
 
 // predictResponse is the POST /v1/predict reply: one output row and argmax
-// label per query row. TraceID names the request's span trace at
-// /debug/traces when the request was sampled for tracing.
+// label per query row. TraceID is the request's ID, also on its wide
+// events at /debug/events?trace_id=.
 type predictResponse struct {
 	Model   string      `json:"model"`
 	Y       [][]float64 `json:"y"`
@@ -193,19 +218,17 @@ func handlePredict(s *Server, w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
+	// One trace ID covers all rows of the request, carried to
+	// Server.Predict through the context and echoed in the header and
+	// body so the caller can find the request's wide events.
+	id := obs.NewTraceID()
+	ctx := obs.WithTraceID(r.Context(), id)
+	w.Header().Set("X-Trace-Id", id)
 	resp := predictResponse{
-		Model:  req.Model,
-		Y:      make([][]float64, len(rows)),
-		Labels: make([]int, len(rows)),
-	}
-	// A sampled request gets one trace shared by all its rows, carried to
-	// Server.Predict through the context; the ID is echoed in the header
-	// and body so the caller can look its spans up at /debug/traces.
-	ctx := r.Context()
-	if tr := s.startTrace("http.predict"); tr != nil {
-		ctx = obs.NewContext(ctx, tr)
-		resp.TraceID = tr.ID()
-		w.Header().Set("X-Trace-Id", tr.ID())
+		Model:   req.Model,
+		Y:       make([][]float64, len(rows)),
+		Labels:  make([]int, len(rows)),
+		TraceID: id,
 	}
 	// Rows go through Server.Predict concurrently so they coalesce into
 	// micro-batches with each other and with other in-flight requests.

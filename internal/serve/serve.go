@@ -96,18 +96,11 @@ type Config struct {
 	// shared registry to expose serving, jobs, and trainer series from one
 	// /metrics endpoint.
 	Metrics *obs.Registry
-	// Tracer records per-request span traces; nil creates a private tracer
-	// of DefaultTraceCapacity. Readable via Server.Tracer.
-	Tracer *obs.Tracer
-	// TraceEvery samples request tracing: every Nth request not already
-	// carrying a trace in its context starts one. 0 traces every request;
-	// < 0 disables tracing.
-	TraceEvery int
 	// Events receives one wide obs.Event per request outcome — ok,
 	// rejected, shed, expired, abandoned — carrying the request's model,
 	// queue wait, device time, micro-batch id and occupancy, and trace id.
-	// nil disables event logging entirely (unlike Metrics and Tracer, which
-	// default to private instances): the event ring is an opt-in debugging
+	// nil disables event logging entirely (unlike Metrics, which defaults
+	// to a private registry): the event ring is an opt-in debugging
 	// surface, and the zero Config keeps the hot path at its minimum cost.
 	// Readable via Server.Events.
 	Events *obs.EventLog
@@ -154,12 +147,6 @@ func (c Config) withDefaults() Config {
 	if c.Metrics == nil {
 		c.Metrics = obs.NewRegistry()
 	}
-	if c.Tracer == nil {
-		c.Tracer = obs.NewTracer(obs.DefaultTraceCapacity)
-	}
-	if c.TraceEvery == 0 {
-		c.TraceEvery = 1
-	}
 	return c
 }
 
@@ -170,7 +157,6 @@ type Server struct {
 	reg      *Registry
 	work     chan *batch
 	stats    *statsCore
-	traceSeq atomic.Uint64 // request counter for TraceEvery sampling
 	batchSeq atomic.Uint64 // dispatched micro-batch ids for wide events
 
 	done     chan struct{}
@@ -253,7 +239,8 @@ func (s *Server) maxBatchFor(m *core.Model) int {
 // ErrUnknownModel / ErrDeadlineExceeded / the context's error. A caller
 // that returns early (context canceled, server closing) abandons its
 // request: the batcher and workers drop abandoned requests before any
-// device work is spent on them.
+// device work is spent on them. The request's wide event and latency
+// exemplar carry the trace ID in ctx (obs.WithTraceID), or a fresh one.
 func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float64, error) {
 	if s.closed.Load() {
 		return nil, ErrClosed
@@ -279,17 +266,11 @@ func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float
 	if m := e.model.Load(); len(x) != m.X.Cols {
 		return nil, fmt.Errorf("serve: model %q wants %d features, got %d", name, m.X.Cols, len(x))
 	}
-	tr := obs.FromContext(ctx)
-	// A server-sampled trace is prepared here but committed to the ring
-	// only after successful admission: rejections cluster during overload
-	// incidents, and an empty "rejected" trace must not evict the retained
-	// traces of requests that actually ran.
-	var sampled *obs.Trace
-	if tr == nil {
-		sampled = s.prepareTrace("predict")
-		tr = sampled
+	id := obs.TraceIDFrom(ctx)
+	if id == "" {
+		id = obs.NewTraceID()
 	}
-	req := &request{x: x, ctx: ctx, tr: tr, enq: time.Now(), done: make(chan struct{})}
+	req := &request{x: x, ctx: ctx, id: id, enq: time.Now(), done: make(chan struct{})}
 	if d, ok := ctx.Deadline(); ok {
 		req.deadline = d
 	} else if s.cfg.Timeout > 0 {
@@ -298,9 +279,8 @@ func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float
 	if s.cfg.Shed && !req.deadline.IsZero() {
 		if wait := e.estimatedWait(); wait > 0 && req.enq.Add(wait).After(req.deadline) {
 			s.stats.recordShed()
-			tr.Span("shed", req.enq, time.Now())
 			err := fmt.Errorf("%w (estimated wait %v)", ErrShed, wait.Round(time.Millisecond))
-			s.requestEvent(obs.LevelWarn, "shed", e.name, tr, req, err)
+			s.requestEvent(obs.LevelWarn, "shed", e.name, req, err)
 			return nil, err
 		}
 	}
@@ -311,14 +291,11 @@ func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float
 	s.pending.Add(1)
 	select {
 	case e.queue <- req:
-		s.cfg.Tracer.Commit(sampled)
-		tr.Span("enqueue", req.enq, time.Now())
 	default:
 		s.pending.Add(-1)
 		req.pending = nil
 		s.stats.recordRejected()
-		tr.Span("rejected", req.enq, time.Now())
-		s.requestEvent(obs.LevelWarn, "rejected", e.name, tr, req, ErrOverloaded)
+		s.requestEvent(obs.LevelWarn, "rejected", e.name, req, ErrOverloaded)
 		return nil, ErrOverloaded
 	}
 	select {
@@ -348,9 +325,6 @@ func (s *Server) Stats() Stats { return s.stats.snapshot() }
 // Metrics returns the registry the serving telemetry registers into.
 func (s *Server) Metrics() *obs.Registry { return s.cfg.Metrics }
 
-// Tracer returns the span ring recording sampled request traces.
-func (s *Server) Tracer() *obs.Tracer { return s.cfg.Tracer }
-
 // Events returns the wide-event log, or nil when Config.Events was nil
 // (event logging disabled).
 func (s *Server) Events() *obs.EventLog { return s.cfg.Events }
@@ -366,8 +340,7 @@ func (s *Server) Flight() *obs.FlightRecorder { return s.cfg.Flight }
 // terminated before any device work — rejected, shed, expired, or
 // abandoned in the queue (no-op with a nil Config.Events). QueueWait is
 // enqueue → now; there is no batch or device time to report.
-func (s *Server) requestEvent(level obs.Level, outcome, model string, tr *obs.Trace,
-	r *request, err error) {
+func (s *Server) requestEvent(level obs.Level, outcome, model string, r *request, err error) {
 	if s.cfg.Events == nil {
 		return
 	}
@@ -376,7 +349,7 @@ func (s *Server) requestEvent(level obs.Level, outcome, model string, tr *obs.Tr
 		Kind:      obs.KindServeRequest,
 		Model:     model,
 		Outcome:   outcome,
-		TraceID:   tr.ID(),
+		TraceID:   r.id,
 		Rows:      1,
 		QueueWait: time.Since(r.enq),
 	}
@@ -400,7 +373,7 @@ func (s *Server) batchEvent(level obs.Level, outcome, model string, r *request,
 		Kind:       obs.KindServeRequest,
 		Model:      model,
 		Outcome:    outcome,
-		TraceID:    r.tr.ID(),
+		TraceID:    r.id,
 		Rows:       1,
 		QueueWait:  execStart.Sub(r.enq),
 		DeviceTime: deviceTime,
@@ -411,28 +384,6 @@ func (s *Server) batchEvent(level obs.Level, outcome, model string, r *request,
 		ev.Err = err.Error()
 	}
 	s.cfg.Events.Emit(ev)
-}
-
-// startTrace starts a retained trace if this request is sampled (per
-// Config.TraceEvery), or returns nil — safe to use as a no-op trace.
-func (s *Server) startTrace(name string) *obs.Trace {
-	tr := s.prepareTrace(name)
-	s.cfg.Tracer.Commit(tr)
-	return tr
-}
-
-// prepareTrace applies the TraceEvery sampling decision and returns a
-// prepared (not yet ring-retained) trace, or nil when unsampled. The
-// caller commits it once the request passes admission.
-func (s *Server) prepareTrace(name string) *obs.Trace {
-	n := s.cfg.TraceEvery
-	if n <= 0 {
-		return nil
-	}
-	if n > 1 && (s.traceSeq.Add(1)-1)%uint64(n) != 0 {
-		return nil
-	}
-	return s.cfg.Tracer.Prepare(name)
 }
 
 // Draining reports whether admission is closed for graceful shutdown.
@@ -513,12 +464,11 @@ func (s *Server) reap(e *entry, r *request, now time.Time) bool {
 	switch {
 	case !r.deadline.IsZero() && now.After(r.deadline):
 		s.stats.recordExpired()
-		s.requestEvent(obs.LevelWarn, "expired", e.name, r.tr, r, ErrDeadlineExceeded)
+		s.requestEvent(obs.LevelWarn, "expired", e.name, r, ErrDeadlineExceeded)
 		r.fail(ErrDeadlineExceeded)
 	case r.isAbandoned():
 		s.stats.recordAbandoned()
-		r.tr.Span("abandoned", r.enq, now)
-		s.requestEvent(obs.LevelWarn, "abandoned", e.name, r.tr, r, context.Canceled)
+		s.requestEvent(obs.LevelWarn, "abandoned", e.name, r, context.Canceled)
 		r.fail(context.Canceled)
 	default:
 		return false
@@ -569,13 +519,10 @@ func (s *Server) execute(b *batch) {
 			// already spent, but the latency quantiles must carry only
 			// delivered responses.
 			s.stats.recordAbandoned()
-			r.tr.Span("abandoned", r.enq, done)
 			s.batchEvent(obs.LevelWarn, "abandoned", b.entry.name, r, batchID, len(live), execStart, deviceTime, context.Canceled)
 			continue
 		}
-		s.stats.recordDone(done.Sub(r.enq), r.tr.ID())
-		r.tr.Span("batch-wait", r.enq, execStart)
-		r.tr.Span("device-execute", execStart, done)
+		s.stats.recordDone(done.Sub(r.enq), r.id)
 		s.batchEvent(obs.LevelInfo, "ok", b.entry.name, r, batchID, len(live), execStart, deviceTime, nil)
 	}
 	s.stats.recordBatch(len(live))

@@ -363,4 +363,10 @@ func TestStatsString(t *testing.T) {
 	if out == "" || st.P99 == 0 || len(st.Occupancy) == 0 {
 		t.Fatalf("thin stats rendering: %+v\n%s", st, out)
 	}
+	// Quantiles are exact bucket bounds, 50µs·2^i.
+	for _, q := range []time.Duration{st.P50, st.P99} {
+		if r := q / latBucket0; q%latBucket0 != 0 || r&(r-1) != 0 {
+			t.Fatalf("latency quantile %v is not a bucket bound 50µs·2^i", q)
+		}
+	}
 }

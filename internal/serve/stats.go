@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"time"
 
@@ -39,10 +40,8 @@ const (
 	occBucketCnt = 21 // occupancy up to 2^20 per micro-batch
 )
 
-// latBounds are the latency histogram bucket upper bounds as durations;
-// latBoundsSec is the same table in seconds for obs.Histogram.
+// latBoundsSec are the latency histogram bucket upper bounds in seconds.
 var (
-	latBounds    [latBucketCnt]time.Duration
 	latBoundsSec []float64
 	occBounds    []float64
 )
@@ -51,7 +50,6 @@ func init() {
 	latBoundsSec = make([]float64, latBucketCnt)
 	b := latBucket0
 	for i := 0; i < latBucketCnt; i++ {
-		latBounds[i] = b
 		latBoundsSec[i] = b.Seconds()
 		b *= 2
 	}
@@ -131,9 +129,8 @@ func (s *statsCore) recordBatch(occ int) {
 }
 
 // recordDone records one completed request and its enqueue-to-completion
-// latency. A non-empty traceID lands on the latency bucket as an
-// OpenMetrics exemplar, linking the histogram to the trace that produced
-// the observation.
+// latency. The request's traceID lands on the latency bucket as an
+// OpenMetrics exemplar, linking the histogram to the request's wide event.
 func (s *statsCore) recordDone(lat time.Duration, traceID string) {
 	s.requests.Inc()
 	s.lat.ObserveEx(lat.Seconds(), traceID)
@@ -212,25 +209,12 @@ func (s *statsCore) snapshot() Stats {
 	if sim := st.SimTime.Seconds(); sim > 0 {
 		st.SimThroughput = float64(st.Requests) / sim
 	}
-	st.P50 = s.latQuantile(0.50)
-	st.P99 = s.latQuantile(0.99)
+	// Quantile returns a bucket bound in seconds; rounding to the
+	// nanosecond recovers each bound exactly, since every 50µs·2^i is a
+	// whole number of nanoseconds.
+	st.P50 = time.Duration(math.Round(s.lat.Quantile(0.50) * 1e9))
+	st.P99 = time.Duration(math.Round(s.lat.Quantile(0.99) * 1e9))
 	return st
-}
-
-// latQuantile returns the upper bound of the bucket holding the q-quantile
-// completed request, as a duration from the exact bucket-bound table (a
-// seconds→duration round trip could drift by a nanosecond).
-func (s *statsCore) latQuantile(q float64) time.Duration {
-	sec := s.lat.Quantile(q)
-	if sec == 0 {
-		return 0
-	}
-	for i, b := range latBoundsSec {
-		if b >= sec {
-			return latBounds[i]
-		}
-	}
-	return latBounds[latBucketCnt-1]
 }
 
 // String renders the snapshot as an aligned text table.
