@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -70,10 +71,17 @@ func TestSLOBreachLifecycle(t *testing.T) {
 	ts := httptest.NewServer(NewServerHandler(srv))
 	defer ts.Close()
 
-	// Drive traffic while polling /debug/slo, recording each distinct state
-	// as it appears; stop once the objective pages.
+	// The objective starts ok: no traffic has been served.
+	if st := sloState(t, ts.URL); st != "ok" {
+		t.Fatalf("state before any traffic = %q, want ok", st)
+	}
+	// Drive traffic until the objective pages, reading the progression
+	// from the slo.state transition events rather than from polls, which
+	// can miss a state the evaluator passed through between two of them.
+	// Transitions are gathered every round, keyed by sequence number, so
+	// serve events cannot evict one from the ring before it is seen.
 	query := ds.X.RowView(0)
-	var seen []string
+	transitions := map[uint64]string{}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		for i := 0; i < 10; i++ {
@@ -81,20 +89,36 @@ func TestSLOBreachLifecycle(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		st := sloState(t, ts.URL)
-		if len(seen) == 0 || seen[len(seen)-1] != st {
-			seen = append(seen, st)
+		paged := false
+		for _, ev := range events.Query(EventQuery{Kind: "slo.state"}) {
+			transitions[ev.Seq] = ev.Outcome
+			paged = paged || ev.Outcome == "page"
 		}
-		if st == "page" {
+		if paged {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("objective never paged; states seen: %v", seen)
+			t.Fatalf("objective never paged; transitions seen: %v", transitions)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	seqs := make([]uint64, 0, len(transitions))
+	for seq := range transitions {
+		seqs = append(seqs, seq)
+	}
+	sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
+	seen := []string{"ok"}
+	for _, seq := range seqs {
+		seen = append(seen, transitions[seq])
+	}
 	if want := []string{"ok", "warn", "page"}; strings.Join(seen, ",") != strings.Join(want, ",") {
 		t.Fatalf("state progression %v, want %v", seen, want)
+	}
+	// /debug/slo agrees. The evaluator emits the page event and triggers
+	// the flight capture under the lock this read takes, so the read also
+	// orders that trigger before flight.Wait below.
+	if st := sloState(t, ts.URL); st != "page" {
+		t.Fatalf("/debug/slo state %q after the page transition event", st)
 	}
 
 	// Keep traffic flowing until the paging assertions finish: the checks

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"eigenpro/internal/kernel"
@@ -54,6 +56,72 @@ func TestPredictBatchMatchesNaive(t *testing.T) {
 	}
 	if got := m.Predict(xq); !mat.Equal(got, want, 1e-10) {
 		t.Fatal("Predict diverges from naive prediction")
+	}
+}
+
+func requireSameBits(t *testing.T, what string, got, want *mat.Dense) {
+	t.Helper()
+	if got.Rows != want.Rows || got.Cols != want.Cols {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.Rows, got.Cols, want.Rows, want.Cols)
+	}
+	for i, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d = %v, want %v bit for bit", what, i, v, want.Data[i])
+		}
+	}
+}
+
+// TestPredictBatchBitsIndependentOfChunkAndBatch pins the serving
+// guarantee: a row's prediction has the same bits whatever the chunk size
+// and whichever rows share its batch, so a served row equals Predict on
+// that row alone.
+func TestPredictBatchBitsIndependentOfChunkAndBatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	m := randModel(rng, 301, 37, 10)
+	xq := randDense(rng, 45, 37)
+	want := m.PredictBatch(xq, 0)
+	for _, chunk := range []int{1, 7} {
+		requireSameBits(t, "chunk size", m.PredictBatch(xq, chunk), want)
+	}
+	for i := 0; i < xq.Rows; i++ {
+		row := mat.NewDenseData(1, xq.Cols, xq.RowView(i))
+		requireSameBits(t, "row alone", m.Predict(row), want.SliceRows(i, i+1))
+	}
+	// Concurrent callers share the model's cached norms and pooled buffers.
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			lo := g * 10
+			got := m.PredictBatch(xq.SliceRows(lo, lo+5), 0)
+			for i, v := range got.Data {
+				if math.Float64bits(v) != math.Float64bits(want.Data[lo*want.Cols+i]) {
+					t.Errorf("concurrent caller %d: element %d differs", g, i)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestCenterNormsFollowX checks the cached ‖x_i‖² are computed once and
+// recomputed when the model is given new centers.
+func TestCenterNormsFollowX(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	m := randModel(rng, 20, 5, 2)
+	first := m.centerNorms()
+	if &m.centerNorms()[0] != &first[0] {
+		t.Fatal("center norms recomputed for unchanged X")
+	}
+	xq := randDense(rng, 3, 5)
+	m.X = randDense(rng, 20, 5)
+	if got, want := m.centerNorms(), mat.RowSumSq(m.X); got[0] != want[0] {
+		t.Fatal("center norms not recomputed for a new X")
+	}
+	if got, want := m.Predict(xq), predictNaive(m, xq); !mat.Equal(got, want, 1e-10) {
+		t.Fatal("prediction after replacing X uses stale center norms")
 	}
 }
 

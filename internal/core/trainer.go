@@ -395,9 +395,14 @@ type Trainer struct {
 	bestVal   float64
 	sinceBest int
 
-	// Reusable buffers for the full-size batches that dominate the run;
-	// the (at most one per epoch) ragged tail batch allocates its own.
-	kbBuf, fBuf *mat.Dense
+	// Reusable per-iteration buffers sized for a full batch of m rows; the
+	// (at most one per epoch) ragged tail batch uses their leading rows.
+	// xbBuf holds the batch rows (m x d), anBuf their squared norms, kbBuf
+	// the batch kernel matrix (m x n), fBuf its product with α (m x l),
+	// alphaT is αᵀ (l x n) for that product, and phiBuf holds kbBuf's
+	// subsample columns for the EigenPro 2 correction (m x s, else nil).
+	xbBuf, kbBuf, fBuf, alphaT, phiBuf *mat.Dense
+	anBuf                              []float64
 
 	wall time.Duration // accumulated Step wall time
 }
@@ -412,8 +417,14 @@ func newTrainerFromState(st *trainState, dev *device.Device, n, d, l int) *Train
 		d:       d,
 		l:       l,
 		bestVal: math.Inf(1),
+		xbBuf:   mat.NewDense(m, d),
 		kbBuf:   mat.NewDense(m, n),
 		fBuf:    mat.NewDense(m, st.y.Cols),
+		alphaT:  mat.NewDense(st.y.Cols, n),
+		anBuf:   make([]float64, m),
+	}
+	if st.vq != nil {
+		t.phiBuf = mat.NewDense(m, st.sp.S())
 	}
 	t.res = &Result{
 		Model:      st.model,
@@ -461,6 +472,7 @@ func (t *Trainer) Step() (EpochStats, error) {
 	epoch := t.epoch + 1
 
 	perm := st.rng.Perm(n)
+	xNorms := st.model.centerNorms()
 	sumSq, count := 0.0, 0
 	for lo := 0; lo < n; lo += m {
 		if cfg.MaxIters > 0 && res.Iters >= cfg.MaxIters {
@@ -483,17 +495,16 @@ func (t *Trainer) Step() (EpochStats, error) {
 				etaT = cfg.Eta * float64(mt) / float64(m)
 			}
 		}
-		xb := st.x.SelectRows(batch)
-		var kb, f *mat.Dense
-		if mt == m {
-			kernel.MatrixInto(t.kbBuf, cfg.Kernel, xb, st.x) // m x n
-			kb = t.kbBuf
-			mat.MulTo(t.fBuf, kb, alpha) // m x l
-			f = t.fBuf
-		} else {
-			kb = kernel.Matrix(cfg.Kernel, xb, st.x)
-			f = mat.Mul(kb, alpha)
+		xb, an := leadingRows(t.xbBuf, mt), t.anBuf[:mt]
+		for r, row := range batch {
+			copy(xb.RowView(r), st.x.RowView(row))
+			an[r] = xNorms[row]
 		}
+		kb := leadingRows(t.kbBuf, mt)
+		kernel.MatrixIntoNorms(kb, cfg.Kernel, xb, an, st.x, xNorms) // m x n
+		alpha.TTo(t.alphaT)
+		f := leadingRows(t.fBuf, mt)
+		mat.MulTTo(f, kb, t.alphaT) // K·α, m x l
 		// Residual r = f − y_batch; accumulate pre-update loss.
 		r := f
 		for t, row := range batch {
@@ -518,7 +529,8 @@ func (t *Trainer) Step() (EpochStats, error) {
 		switch {
 		case cfg.Method == MethodEigenPro2 && params.QAdjusted > 0:
 			// Φ = kb columns at the subsample indices (transposed view).
-			w := kb.SelectCols(st.sp.SubIdx) // m x s
+			w := leadingRows(t.phiBuf, mt)
+			kb.SelectColsTo(w, st.sp.SubIdx) // m x s
 			t1 := mat.TMul(w, r)             // s x l  (= Φ r)
 			t2 := mat.TMul(st.vq, t1)        // q x l
 			for i := 0; i < t2.Rows; i++ {
@@ -582,4 +594,9 @@ func (t *Trainer) Step() (EpochStats, error) {
 		t.done = true
 	}
 	return stats, nil
+}
+
+// leadingRows returns a view of the first r rows of d.
+func leadingRows(d *mat.Dense, r int) *mat.Dense {
+	return mat.NewDenseData(r, d.Cols, d.Data[:r*d.Cols])
 }

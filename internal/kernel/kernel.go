@@ -132,8 +132,15 @@ func Family(k Func) (family string, sigma float64, err error) {
 // distances between the rows of a and the rows of b, computed via one GEMM.
 // Small negative values from cancellation are clamped to zero.
 func PairwiseSqDist(a, b *mat.Dense) *mat.Dense {
+	checkFeatures(a, b)
 	d := mat.NewDense(a.Rows, b.Rows)
-	pairwiseSqDistInto(d, a, b)
+	an, bn := mat.RowSumSq(a), mat.RowSumSq(b)
+	mat.MulTToThen(d, a, b, func(i, lo int, seg []float64) {
+		ai, bs := an[i], bn[lo:lo+len(seg)]
+		for j, v := range seg {
+			seg[j] = sqDistOf(ai, bs[j], v)
+		}
+	})
 	return d
 }
 
@@ -150,42 +157,64 @@ func Matrix(k Func, a, b *mat.Dense) *mat.Dense {
 // (a.Rows x b.Rows, overwritten). Training loops use it to avoid
 // reallocating the m x n batch kernel matrix every iteration.
 func MatrixInto(dst *mat.Dense, k Func, a, b *mat.Dense) {
+	MatrixIntoNorms(dst, k, a, nil, b, nil)
+}
+
+// MatrixIntoNorms is MatrixInto given the squared row norms an = ‖a_i‖²
+// and bn = ‖b_j‖² (mat.RowSumSq), so callers that evaluate against the same
+// centers many times compute them once; a nil slice is computed here.
+// Radial kernels turn each tile of the a·bᵀ GEMM into
+// k(‖a_i‖² + ‖b_j‖² − 2⟨a_i,b_j⟩), clamped at zero distance, on the GEMM's
+// worker goroutines; an element depends only on a_i and b_j.
+func MatrixIntoNorms(dst *mat.Dense, k Func, a *mat.Dense, an []float64, b *mat.Dense, bn []float64) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(fmt.Sprintf("kernel: MatrixInto dst %dx%d for %dx%d result",
 			dst.Rows, dst.Cols, a.Rows, b.Rows))
 	}
-	if r, ok := k.(Radial); ok {
-		pairwiseSqDistInto(dst, a, b)
-		mat.ApplyInPlace(dst, r.OfSqDist)
+	r, ok := k.(Radial)
+	if !ok {
+		for i := 0; i < a.Rows; i++ {
+			xi := a.RowView(i)
+			row := dst.RowView(i)
+			for j := 0; j < b.Rows; j++ {
+				row[j] = k.Eval(xi, b.RowView(j))
+			}
+		}
 		return
 	}
-	for i := 0; i < a.Rows; i++ {
-		xi := a.RowView(i)
-		row := dst.RowView(i)
-		for j := 0; j < b.Rows; j++ {
-			row[j] = k.Eval(xi, b.RowView(j))
-		}
+	checkFeatures(a, b)
+	if an == nil {
+		an = mat.RowSumSq(a)
 	}
+	if bn == nil {
+		bn = mat.RowSumSq(b)
+	}
+	if len(an) != a.Rows || len(bn) != b.Rows {
+		panic(fmt.Sprintf("kernel: MatrixIntoNorms %d and %d norms for %d and %d rows", len(an), len(bn), a.Rows, b.Rows))
+	}
+	// OfSqDist is called through the interface: its exp or sqrt dominates,
+	// and a type switch over the concrete kernels measured no faster.
+	mat.MulTToThen(dst, a, b, func(i, lo int, seg []float64) {
+		ai, bs := an[i], bn[lo:lo+len(seg)]
+		for j, v := range seg {
+			seg[j] = r.OfSqDist(sqDistOf(ai, bs[j], v))
+		}
+	})
 }
 
-// pairwiseSqDistInto computes squared distances into dst (overwritten).
-func pairwiseSqDistInto(dst *mat.Dense, a, b *mat.Dense) {
+// sqDistOf returns ‖a‖² + ‖b‖² − 2⟨a,b⟩ from the norms and inner product,
+// clamping the small negative values cancellation can leave to zero.
+func sqDistOf(an, bn, dot float64) float64 {
+	v := an + bn - 2*dot
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+func checkFeatures(a, b *mat.Dense) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("kernel: PairwiseSqDist feature dims %d vs %d", a.Cols, b.Cols))
-	}
-	an := mat.RowSumSq(a)
-	bn := mat.RowSumSq(b)
-	mat.MulTTo(dst, a, b) // inner products
-	for i := 0; i < dst.Rows; i++ {
-		row := dst.RowView(i)
-		ai := an[i]
-		for j := range row {
-			v := ai + bn[j] - 2*row[j]
-			if v < 0 {
-				v = 0
-			}
-			row[j] = v
-		}
 	}
 }
 

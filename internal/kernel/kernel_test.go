@@ -191,6 +191,41 @@ func TestGramSymmetricUnitDiagonal(t *testing.T) {
 	}
 }
 
+// TestMatrixExactlySymmetricOnSelf checks the kernel matrix of a set
+// against itself is symmetric bit for bit before Gram's averaging: the
+// micro-kernel's ⟨x_i,x_j⟩ and ⟨x_j,x_i⟩ round identically, and so do the
+// norm sums. The shape is large enough for the parallel GEMM split.
+func TestMatrixExactlySymmetricOnSelf(t *testing.T) {
+	rng := rand.New(rand.NewSource(36))
+	x := randX(rng, 131, 37)
+	for _, k := range allKernels() {
+		g := Matrix(k, x, x)
+		for i := 0; i < g.Rows; i++ {
+			for j := 0; j < i; j++ {
+				if math.Float64bits(g.At(i, j)) != math.Float64bits(g.At(j, i)) {
+					t.Fatalf("%s: K[%d,%d]=%v != K[%d,%d]=%v", k.Name(), i, j, g.At(i, j), j, i, g.At(j, i))
+				}
+			}
+		}
+	}
+}
+
+// TestMatrixIntoNormsMatchesMatrixInto checks supplied norms give the same
+// bits as norms computed inside.
+func TestMatrixIntoNormsMatchesMatrixInto(t *testing.T) {
+	rng := rand.New(rand.NewSource(37))
+	a, b := randX(rng, 9, 784), randX(rng, 70, 784)
+	k := Gaussian{Sigma: 5}
+	want := Matrix(k, a, b)
+	got := mat.NewDense(9, 70)
+	MatrixIntoNorms(got, k, a, mat.RowSumSq(a), b, mat.RowSumSq(b))
+	for i, v := range got.Data {
+		if math.Float64bits(v) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("element %d: %v with supplied norms, %v without", i, v, want.Data[i])
+		}
+	}
+}
+
 func TestGramPositiveSemiDefinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(35))
 	x := randX(rng, 25, 4)
@@ -258,5 +293,22 @@ func TestQuickGramQuadraticFormNonNegative(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkMatrixInto times the Gaussian kernel matrix at the training
+// shape (600 batch rows against 600 centers of 784 features): the GEMM
+// plus its fused distance-and-exp epilogue.
+func BenchmarkMatrixInto(b *testing.B) {
+	rng := rand.New(rand.NewSource(3))
+	x, z := mat.NewDense(600, 784), mat.NewDense(600, 784)
+	for i := range x.Data {
+		x.Data[i], z.Data[i] = rng.Float64(), rng.Float64()
+	}
+	dst := mat.NewDense(600, 600)
+	k := Gaussian{Sigma: 5}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		MatrixInto(dst, k, x, z)
 	}
 }

@@ -4,10 +4,15 @@
 // the factorizations (QR, Cholesky) needed by the eigensolvers and the
 // FALKON baseline.
 //
-// The package is deliberately self-contained (standard library only) since
-// the Go ecosystem offers no BLAS/GPU path for this workload; internal/device
-// provides the simulated parallel-resource accounting on top of these
-// routines.
+// The package uses the standard library only. Its fast path is MulTTo
+// (a·bᵀ, the product behind every kernel matrix): on amd64 CPUs with AVX2
+// and FMA it runs a Go-assembly micro-kernel over 2x4 register tiles,
+// split across GOMAXPROCS workers by row blocks and column panels. The
+// pure-Go fallback, used elsewhere, computes every output in the same
+// order with math.FMA, so both paths give the same bits; on a CPU without
+// FMA hardware math.FMA is emulated in software and the fallback is slow.
+// internal/device provides the simulated parallel-resource accounting on
+// top of these routines.
 package mat
 
 import (
@@ -101,13 +106,21 @@ func Eye(n int) *Dense {
 // T returns a newly allocated transpose of a.
 func (a *Dense) T() *Dense {
 	out := NewDense(a.Cols, a.Rows)
+	a.TTo(out)
+	return out
+}
+
+// TTo writes the transpose of a into preallocated dst (a.Cols x a.Rows).
+func (a *Dense) TTo(dst *Dense) {
+	if dst.Rows != a.Cols || dst.Cols != a.Rows {
+		panic(dimErr("TTo", a, dst))
+	}
 	for i := 0; i < a.Rows; i++ {
 		row := a.RowView(i)
 		for j, v := range row {
-			out.Data[j*a.Rows+i] = v
+			dst.Data[j*a.Rows+i] = v
 		}
 	}
-	return out
 }
 
 // SliceRows returns a new matrix holding rows [from, to) of a (copied).
@@ -147,14 +160,23 @@ func (a *Dense) SelectRows(idx []int) *Dense {
 // matrix.
 func (a *Dense) SelectCols(idx []int) *Dense {
 	out := NewDense(a.Rows, len(idx))
+	a.SelectColsTo(out, idx)
+	return out
+}
+
+// SelectColsTo gathers the given columns of a into preallocated dst
+// (a.Rows x len(idx)).
+func (a *Dense) SelectColsTo(dst *Dense, idx []int) {
+	if dst.Rows != a.Rows || dst.Cols != len(idx) {
+		panic(fmt.Sprintf("mat: SelectColsTo %dx%d dst for %d rows and %d columns", dst.Rows, dst.Cols, a.Rows, len(idx)))
+	}
 	for i := 0; i < a.Rows; i++ {
 		src := a.RowView(i)
-		dst := out.RowView(i)
+		out := dst.RowView(i)
 		for k, j := range idx {
-			dst[k] = src[j]
+			out[k] = src[j]
 		}
 	}
-	return out
 }
 
 // Col returns a copy of column j as a slice.

@@ -3,6 +3,7 @@ package mat
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // gemmMinParallelWork is the number of multiply-adds below which matrix
@@ -93,30 +94,89 @@ func MulT(a, b *Dense) *Dense {
 }
 
 // MulTTo computes dst = a * bᵀ into preallocated dst (overwritten). dst
-// must be a.Rows x b.Rows and must not alias a or b.
-func MulTTo(dst, a, b *Dense) {
+// must be a.Rows x b.Rows and must not alias a or b. Every output is
+// dotFMA(a_i, b_j), so its bits do not depend on the other rows of a or b,
+// on how the work is split, or on whether the assembly micro-kernel ran.
+func MulTTo(dst, a, b *Dense) { MulTToThen(dst, a, b, nil) }
+
+// MulTToThen computes dst = a * bᵀ like MulTTo, then calls then(i, lo, seg)
+// for each finished segment seg = dst[i, lo:lo+len(seg)] on the goroutine
+// that computed it, while the segment is still in cache. The segments are
+// disjoint and cover dst, so then may rewrite seg in place without
+// synchronization. A nil then is MulTTo.
+func MulTToThen(dst, a, b *Dense, then func(i, lo int, seg []float64)) {
 	if a.Cols != b.Cols {
 		panic(dimErr("MulTTo", a, b))
 	}
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(dimErr("MulTTo dst", dst, b))
 	}
-	out := dst
-	n, k, m := a.Rows, a.Cols, b.Rows
-	parallelRows(n, k*m, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.RowView(i)
-			drow := out.RowView(i)
-			for j := 0; j < m; j++ {
-				brow := b.RowView(j)
-				s := 0.0
-				for p := 0; p < k; p++ {
-					s += arow[p] * brow[p]
+	n, m, k := a.Rows, b.Rows, a.Cols
+	if n == 0 || m == 0 {
+		return
+	}
+	slab := gemmSlab(k)
+	block := func(i0, i1, j0, j1 int) {
+		for is := i0; is < i1; is += slab {
+			ih := min(is+slab, i1)
+			mulTTBlock(dst, a, b, is, ih, j0, j1)
+			if then != nil {
+				for i := is; i < ih; i++ {
+					then(i, j0, dst.Data[i*m+j0:i*m+j1])
 				}
-				drow[j] = s
 			}
 		}
-	})
+	}
+	w := workers
+	if w <= 1 || n*m*max(k, 1) < gemmMinParallelWork {
+		block(0, n, 0, m)
+		return
+	}
+	rb, cb := gemmSplit(n, m, w)
+	rowBlocks, colBlocks := (n+rb-1)/rb, (m+cb-1)/cb
+	tasks := rowBlocks * colBlocks
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for g := 0; g < min(w, tasks); g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for t := int(next.Add(1)) - 1; t < tasks; t = int(next.Add(1)) - 1 {
+				i0, j0 := (t/colBlocks)*rb, (t%colBlocks)*cb
+				block(i0, min(i0+rb, n), j0, min(j0+cb, m))
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// gemmSlab returns how many rows of a one pass of the micro-kernel keeps
+// hot in L2 while groups of four b rows stream through L1: an even count
+// whose k-long rows fill about 256 KiB, a conservative share of a per-core
+// L2 cache.
+func gemmSlab(k int) int {
+	const l2Floats = 256 << 10 / 8
+	return max(2, l2Floats/max(k, 1)&^1)
+}
+
+// gemmSplit cuts an n x m product into tasks of rb rows by cb columns,
+// about four per worker so that uneven progress evens out. It splits the
+// columns first (cb a multiple of the 4-column tile), so each task reads
+// only its share of b and a single-row product still uses every worker,
+// and splits the rows (rb even, for the 2-row tile) only when there are
+// too few columns.
+func gemmSplit(n, m, w int) (rb, cb int) {
+	target := 4 * w
+	cb = (m + target - 1) / target
+	cb = (cb + 3) &^ 3
+	colBlocks := (m + cb - 1) / cb
+	rb = n + n&1
+	if colBlocks < target {
+		parts := (target + colBlocks - 1) / colBlocks
+		rb = (n + parts - 1) / parts
+		rb += rb & 1
+	}
+	return rb, cb
 }
 
 // TMul returns aᵀ * b without materializing the transpose.

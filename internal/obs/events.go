@@ -36,7 +36,7 @@ func (l Level) String() string {
 
 // MarshalJSON renders the level as its name, so JSON-lines sinks and the
 // /debug/events payload stay greppable.
-func (l Level) MarshalJSON() ([]byte, error) { return json.Marshal(l.String()) }
+func (l Level) MarshalJSON() ([]byte, error) { return []byte(`"` + l.String() + `"`), nil }
 
 // UnmarshalJSON parses a level name (unknown names parse as info).
 func (l *Level) UnmarshalJSON(b []byte) error {
@@ -178,6 +178,7 @@ type EventLog struct {
 	sinkMu   sync.Mutex
 	sink     io.Writer
 	sinkMin  Level
+	sinkBuf  []byte // one encoded record, reused under sinkMu
 	sinkErrs atomic.Uint64
 }
 
@@ -228,9 +229,6 @@ func (l *EventLog) Emit(ev Event) {
 	if l == nil {
 		return
 	}
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
 	if ev.Level == LevelInfo && ev.Outcome == "ok" {
 		if n := l.sampleEvery.Load(); n > 1 && l.okSeq.Add(1)%uint64(n) != 1 {
 			l.dropped.Add(1)
@@ -238,11 +236,18 @@ func (l *EventLog) Emit(ev Event) {
 		}
 	}
 	l.emitted.Add(1)
+	// Only a kept event is stamped and copied to the heap: taking ev's
+	// own address would allocate it on every call, sampled out or not.
+	kept := new(Event)
+	*kept = ev
+	if kept.Time.IsZero() {
+		kept.Time = time.Now()
+	}
 	slot := l.seq.Add(1) - 1
-	ev.Seq = slot + 1
-	l.ring[slot%uint64(len(l.ring))].Store(&ev)
+	kept.Seq = slot + 1
+	l.ring[slot%uint64(len(l.ring))].Store(kept)
 	if l.hasSink.Load() {
-		l.sinkTo(&ev)
+		l.sinkTo(kept)
 	}
 }
 
@@ -254,7 +259,12 @@ func (l *EventLog) sinkTo(ev *Event) {
 	if l.sink == nil || ev.Level < l.sinkMin {
 		return
 	}
-	if err := json.NewEncoder(l.sink).Encode(ev); err != nil {
+	b, err := ev.appendJSON(l.sinkBuf[:0])
+	l.sinkBuf = b
+	if err == nil {
+		_, err = l.sink.Write(b)
+	}
+	if err != nil {
 		l.sinkErrs.Add(1)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -275,5 +276,19 @@ func TestEventLogConcurrent(t *testing.T) {
 	}
 	if got := l.Len(); got != 32 {
 		t.Fatalf("Len = %d after heavy wraparound, want capacity 32", got)
+	}
+}
+
+// BenchmarkEmitSampledSink times Emit as the instrumented serving path
+// uses it: ok events sampled 1-in-8 into a log with a JSON-lines sink.
+func BenchmarkEmitSampledSink(b *testing.B) {
+	l := NewEventLog(0)
+	l.SetSampleEvery(8)
+	l.SetSink(io.Discard, LevelInfo)
+	ev := Event{Level: LevelInfo, Kind: KindServeRequest, Model: "m", Outcome: "ok", TraceID: "0123456789abcdef",
+		Rows: 1, QueueWait: time.Millisecond, DeviceTime: time.Millisecond, BatchID: 7, Occupancy: 64}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		l.Emit(ev)
 	}
 }

@@ -1,8 +1,8 @@
 package obs
 
 import (
-	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"time"
 )
@@ -22,17 +22,17 @@ type Exemplar struct {
 	Time time.Time
 }
 
-// exposition renders the exemplar as its OpenMetrics bucket-line suffix:
-// ` # {trace_id="..."} value timestamp`.
-func (e *Exemplar) exposition() string {
-	return fmt.Sprintf(" # {trace_id=\"%s\"} %s %s",
-		escapeLabel(e.TraceID), formatFloat(e.Value), formatTimestamp(e.Time))
-}
-
-// formatTimestamp renders a Unix timestamp with millisecond precision, the
-// way OpenMetrics clients commonly do.
-func formatTimestamp(t time.Time) string {
-	return fmt.Sprintf("%.3f", float64(t.UnixMilli())/1e3)
+// appendTo appends the exemplar's OpenMetrics bucket-line suffix,
+// ` # {trace_id="..."} value timestamp`, the timestamp in Unix seconds
+// with millisecond precision the way OpenMetrics clients commonly render
+// it.
+func (e *Exemplar) appendTo(b []byte) []byte {
+	b = append(b, ` # {trace_id="`...)
+	b = append(b, escapeLabel(e.TraceID)...)
+	b = append(b, `"} `...)
+	b = appendFloat(b, e.Value)
+	b = append(b, ' ')
+	return strconv.AppendFloat(b, float64(e.Time.UnixMilli())/1e3, 'f', 3, 64)
 }
 
 // openMetricsContentType is the content type the OpenMetrics exposition is

@@ -1,9 +1,8 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -51,15 +50,6 @@ func (h *Histogram) ObserveEx(v float64, traceID string) {
 	if traceID != "" {
 		h.exemplars[i].Store(&Exemplar{Value: v, TraceID: traceID, Time: time.Now()})
 	}
-}
-
-// exemplarSnapshot copies the per-bucket exemplar pointers.
-func (h *Histogram) exemplarSnapshot() []*Exemplar {
-	out := make([]*Exemplar, len(h.exemplars))
-	for i := range h.exemplars {
-		out[i] = h.exemplars[i].Load()
-	}
-	return out
 }
 
 // bucket returns the index of the first bucket whose bound is >= v
@@ -161,41 +151,66 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	return s
 }
 
-// write renders the histogram in exposition format: cumulative
-// name_bucket{le="..."} series, then name_sum and name_count. In
-// OpenMetrics mode each bucket line additionally carries its exemplar.
-func (h *Histogram) write(w io.Writer, name string, labels []Label, om bool) error {
-	var ex []*Exemplar
-	if om {
-		ex = h.exemplarSnapshot()
+// appendTo renders the histogram in exposition format: cumulative bucket
+// lines, then _sum and _count, each starting with the series' formatted
+// prefix. In OpenMetrics mode each bucket line additionally carries its
+// exemplar.
+func (h *Histogram) appendTo(b []byte, s *series, om bool) []byte {
+	sum, count := h.sum.Load(), h.count.Load()
+	var cum uint64
+	for i := range h.counts {
+		cum += h.counts[i].Load()
+		b = append(b, s.bucketLines[i]...)
+		b = strconv.AppendUint(b, cum, 10)
+		if om {
+			if ex := h.exemplars[i].Load(); ex != nil {
+				b = ex.appendTo(b)
+			}
+		}
+		b = append(b, '\n')
 	}
-	return renderHistogram(w, name, labels, h.Snapshot(), ex, om)
+	return appendSumCount(b, s, sum, count)
 }
 
-// renderHistogram writes one histogram series from a snapshot, shared by
-// atomic-backed and func-backed histograms. ex (optional, len(Counts))
-// attaches OpenMetrics exemplars to bucket lines when om is set.
-func renderHistogram(w io.Writer, name string, labels []Label, s HistogramSnapshot, ex []*Exemplar, om bool) error {
+// appendSnapshot renders a func-backed histogram's snapshot like appendTo,
+// without exemplars. Its buckets can change between scrapes, so their line
+// prefixes are formatted here.
+func appendSnapshot(b []byte, name string, s *series, snap HistogramSnapshot) []byte {
 	var cum uint64
-	for i := 0; i <= len(s.Bounds) && i < len(s.Counts); i++ {
-		cum += s.Counts[i]
-		le := "+Inf"
-		if i < len(s.Bounds) {
-			le = formatFloat(s.Bounds[i])
+	var le [32]byte
+	for i := 0; i <= len(snap.Bounds) && i < len(snap.Counts); i++ {
+		cum += snap.Counts[i]
+		v := math.Inf(1)
+		if i < len(snap.Bounds) {
+			v = snap.Bounds[i]
 		}
-		key := labelKey(append(append([]Label(nil), labels...), Label{Key: "le", Value: le}))
-		suffix := ""
-		if om && i < len(ex) && ex[i] != nil {
-			suffix = ex[i].exposition()
-		}
-		if _, err := fmt.Fprintf(w, "%s_bucket%s %d%s\n", name, key, cum, suffix); err != nil {
-			return err
-		}
+		b = appendBucketPrefix(b, name, s.key, appendFloat(le[:0], v))
+		b = strconv.AppendUint(b, cum, 10)
+		b = append(b, '\n')
 	}
-	key := labelKey(labels)
-	if _, err := fmt.Fprintf(w, "%s_sum%s %s\n", name, key, formatFloat(s.Sum)); err != nil {
-		return err
+	return appendSumCount(b, s, snap.Sum, snap.Count)
+}
+
+// appendBucketPrefix appends the start of a bucket line, the series'
+// labels with le last: `name_bucket{<labels>,le="<le>"} `.
+func appendBucketPrefix(b []byte, name, key string, le []byte) []byte {
+	b = append(b, name...)
+	b = append(b, "_bucket{"...)
+	if key != "" {
+		b = append(b, key[1:len(key)-1]...)
+		b = append(b, ',')
 	}
-	_, err := fmt.Fprintf(w, "%s_count%s %d\n", name, key, s.Count)
-	return err
+	b = append(b, `le="`...)
+	b = append(b, le...)
+	return append(b, `"} `...)
+}
+
+// appendSumCount appends a histogram's _sum and _count lines.
+func appendSumCount(b []byte, s *series, sum float64, count uint64) []byte {
+	b = append(b, s.sumLine...)
+	b = appendFloat(b, sum)
+	b = append(b, '\n')
+	b = append(b, s.countLine...)
+	b = strconv.AppendUint(b, count, 10)
+	return append(b, '\n')
 }

@@ -91,6 +91,33 @@ type series struct {
 	fn     func() float64 // func-backed counter or gauge
 	hist   *Histogram
 	histFn func() HistogramSnapshot // func-backed histogram
+
+	// The constant start of each exposition line, formatted once by
+	// formatLines: `name{labels} ` for a counter or gauge; for a histogram
+	// the _sum and _count line starts and, when its buckets are fixed, one
+	// `name_bucket{labels,le="bound"} ` per bucket.
+	line, sumLine, countLine []byte
+	bucketLines              [][]byte
+}
+
+// formatLines fills the series' line prefixes for family name.
+func (s *series) formatLines(name string) {
+	prefix := func(suffix string) []byte {
+		return []byte(name + suffix + s.key + " ")
+	}
+	switch {
+	case s.hist != nil:
+		s.bucketLines = make([][]byte, len(s.hist.bounds)+1)
+		for i, v := range s.hist.bounds {
+			s.bucketLines[i] = appendBucketPrefix(nil, name, s.key, appendFloat(nil, v))
+		}
+		s.bucketLines[len(s.hist.bounds)] = appendBucketPrefix(nil, name, s.key, []byte("+Inf"))
+		fallthrough
+	case s.histFn != nil:
+		s.sumLine, s.countLine = prefix("_sum"), prefix("_count")
+	default:
+		s.line = prefix("")
+	}
 }
 
 // family is all series sharing one metric name.
@@ -169,6 +196,7 @@ func (f *family) get(labels []Label, mk func(ls []Label, key string) *series) *s
 	s, ok := f.series[key]
 	if !ok {
 		s = mk(ls, key)
+		s.formatLines(f.name)
 		f.series[key] = s
 		f.order = append(f.order, key)
 	}
@@ -383,7 +411,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return r.write(w, false)
 }
 
-// write renders every family in the requested exposition dialect.
+// write renders every family in the requested exposition dialect into
+// one pooled buffer and hands it to w in a single Write.
 func (r *Registry) write(w io.Writer, om bool) error {
 	r.mu.RLock()
 	names := make([]string, 0, len(r.fams))
@@ -396,16 +425,22 @@ func (r *Registry) write(w io.Writer, om bool) error {
 		fams = append(fams, r.fams[n])
 	}
 	r.mu.RUnlock()
+	bp := renderBufs.Get().(*[]byte)
+	b := (*bp)[:0]
 	for _, f := range fams {
-		if err := f.write(w, om); err != nil {
-			return err
-		}
+		b = f.appendTo(b, om)
 	}
-	return nil
+	_, err := w.Write(b)
+	*bp = b
+	renderBufs.Put(bp)
+	return err
 }
 
-// write renders one family.
-func (f *family) write(w io.Writer, om bool) error {
+// renderBufs pools exposition buffers across scrapes.
+var renderBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// appendTo renders one family.
+func (f *family) appendTo(b []byte, om bool) []byte {
 	f.mu.Lock()
 	ss := make([]*series, 0, len(f.order))
 	for _, key := range f.order {
@@ -413,56 +448,59 @@ func (f *family) write(w io.Writer, om bool) error {
 	}
 	f.mu.Unlock()
 	if len(ss) == 0 {
-		return nil
+		return b
 	}
 	famName := f.name
 	if om {
 		famName = omFamilyName(f.name, f.typ)
 	}
 	if f.help != "" {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n", famName, f.help); err != nil {
-			return err
-		}
+		b = append(b, "# HELP "...)
+		b = append(b, famName...)
+		b = append(b, ' ')
+		b = append(b, f.help...)
+		b = append(b, '\n')
 	}
-	if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", famName, f.typ); err != nil {
-		return err
-	}
+	b = append(b, "# TYPE "...)
+	b = append(b, famName...)
+	b = append(b, ' ')
+	b = append(b, f.typ...)
+	b = append(b, '\n')
 	for _, s := range ss {
-		if err := s.write(w, f, om); err != nil {
-			return err
-		}
+		b = s.appendTo(b, f.name, om)
 	}
-	return nil
+	return b
 }
 
-// write renders one series.
-func (s *series) write(w io.Writer, f *family, om bool) error {
+// appendTo renders one series.
+func (s *series) appendTo(b []byte, name string, om bool) []byte {
+	var v float64
 	switch {
 	case s.hist != nil:
-		return s.hist.write(w, f.name, s.labels, om)
+		return s.hist.appendTo(b, s, om)
 	case s.histFn != nil:
-		return renderHistogram(w, f.name, s.labels, s.histFn(), nil, om)
+		return appendSnapshot(b, name, s, s.histFn())
 	case s.fn != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.key, formatFloat(s.fn()))
-		return err
+		v = s.fn()
 	case s.ctr != nil:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.key, formatFloat(s.ctr.Value()))
-		return err
+		v = s.ctr.Value()
 	default:
-		_, err := fmt.Fprintf(w, "%s%s %s\n", f.name, s.key, formatFloat(s.gge.Value()))
-		return err
+		v = s.gge.Value()
 	}
+	b = append(b, s.line...)
+	b = appendFloat(b, v)
+	return append(b, '\n')
 }
 
-// formatFloat renders a sample value the way Prometheus clients do.
-func formatFloat(v float64) string {
+// appendFloat renders a sample value the way Prometheus clients do.
+func appendFloat(b []byte, v float64) []byte {
 	switch {
 	case math.IsInf(v, 1):
-		return "+Inf"
+		return append(b, "+Inf"...)
 	case math.IsInf(v, -1):
-		return "-Inf"
+		return append(b, "-Inf"...)
 	}
-	return strconv.FormatFloat(v, 'g', -1, 64)
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
 }
 
 // ExpBuckets returns n bucket upper bounds starting at start and growing

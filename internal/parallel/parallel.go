@@ -319,8 +319,9 @@ func (t *Trainer) Step() (core.EpochStats, error) {
 				defer wg.Done()
 				xw := x.SliceRows(sh.lo, sh.hi)
 				kb := kernel.Matrix(cfg.Kernel, xb, xw) // m x n_w
-				aw := alpha.SliceRows(sh.lo, sh.hi)
-				t.partial[w] = mat.Mul(kb, aw)
+				// K·α on the a·bᵀ micro-kernel, against the shard's αᵀ.
+				awT := alpha.SliceRows(sh.lo, sh.hi).T()
+				t.partial[w] = mat.MulT(kb, awT)
 				kbs[w] = kb
 			}(w, sh)
 		}

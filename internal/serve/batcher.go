@@ -137,12 +137,27 @@ func (s *Server) drainReady(e *entry, reqs []*request, max int) []*request {
 	return reqs
 }
 
-// dispatch hands a batch to the worker pool. During shutdown the workers
-// are still draining s.work (Close waits for the batchers before closing
-// it), so this send cannot block forever.
+// dispatch hands a batch to the first free worker. s.work is unbuffered,
+// so while every worker is busy the batch stays here and keeps taking
+// queued requests, up to m_max: the wave a worker finally runs is as full
+// as the backlog allows, instead of a partial one that a flush timer sent
+// out while no worker could take it. During shutdown the workers are still
+// draining s.work (Close waits for the batchers before closing it), so
+// the send cannot block forever.
 func (s *Server) dispatch(b *batch) {
 	if len(b.reqs) == 0 {
 		return
+	}
+	e := b.entry
+	for max := int(e.maxBatch.Load()); len(b.reqs) < max; {
+		select {
+		case s.work <- b:
+			return
+		case r := <-e.queue:
+			if !s.reap(e, r, time.Now()) {
+				b.reqs = append(b.reqs, r)
+			}
+		}
 	}
 	s.work <- b
 }

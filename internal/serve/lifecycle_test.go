@@ -197,6 +197,67 @@ func TestDeadlineAwareShedding(t *testing.T) {
 // further request must be rejected with ErrOverloaded, never admitted.
 // The pipeline is plugged with a gated model so the queue stays full for
 // the whole flood.
+// TestBusyWorkerGetsFullBatches pins the work-conserving batcher: with the
+// only worker blocked, 2·m_max queued requests must leave as exactly two
+// full batches once it frees, not as partial waves flushed by the
+// MaxLatency timer while no worker could take them.
+func TestBusyWorkerGetsFullBatches(t *testing.T) {
+	const mmax = 4
+	s := newTestServer(t, Config{
+		Workers: 1, MaxBatch: mmax, QueueDepth: 2 * mmax,
+		MaxLatency: time.Millisecond, Timeout: -1,
+	})
+	gate := make(chan struct{})
+	var open sync.Once
+	release := func() { open.Do(func() { close(gate) }) }
+	// Registered after newTestServer's Close, so a failing test still opens
+	// the gate before Close waits for the worker.
+	t.Cleanup(release)
+	entered := make(chan struct{}, 2*mmax+1)
+	m := &core.Model{
+		Kern:  gateKernel{gate: gate, entered: entered},
+		X:     mat.NewDenseData(1, 2, []float64{0, 0}),
+		Alpha: mat.NewDenseData(1, 1, []float64{1}),
+	}
+	if err := s.Register("m", m); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.reg.entry("m")
+	if !ok {
+		t.Fatal("entry missing")
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 2*mmax+1) // one slot per request: sends never block
+	predict := func() {
+		defer wg.Done()
+		if _, err := s.Predict(context.Background(), "m", []float64{0, 0}); err != nil {
+			errs <- err
+		}
+	}
+	wg.Add(1)
+	go predict()
+	<-entered // the worker is executing the first request and gated
+	wg.Add(2 * mmax)
+	for i := 0; i < 2*mmax; i++ {
+		go predict()
+	}
+	// Every request admitted and m_max of them still queued: the batcher
+	// holds the other m_max in one batch, waiting for the worker.
+	waitFor(t, 5*time.Second, func() bool { return s.pending.Load() == 2*mmax+1 && len(e.queue) == mmax },
+		"requests never reached the batcher and queue")
+	release()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	st := s.Stats()
+	if st.Batches != 3 || st.Requests != 2*mmax+1 {
+		t.Fatalf("%d requests ran in %d batches, want %d in 3 (the gated one, then two of %d)",
+			st.Requests, st.Batches, 2*mmax+1, mmax)
+	}
+}
+
 func TestPluggedPipelineRejects(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 1,
@@ -212,21 +273,18 @@ func TestPluggedPipelineRejects(t *testing.T) {
 	}
 	plug := func() { go s.Predict(context.Background(), "m", []float64{0, 0}) }
 	// Plug the pipeline one stage at a time so the final state is
-	// deterministic: one request executing (blocked on the gate), one
-	// buffered in the work channel, one held by the batcher blocked on the
-	// work send, one parked in the depth-1 queue. Nothing can drain until
-	// the gate opens at cleanup, so every request below is rejected.
+	// deterministic: one request executing (blocked on the gate), one held
+	// by the batcher blocked on the unbuffered work send, one parked in the
+	// depth-1 queue. Nothing can drain until the gate opens at cleanup, so
+	// every request below is rejected.
 	plug()
 	<-entered // worker is executing and gated
 	plug()
-	waitFor(t, 5*time.Second, func() bool { return len(s.work) == 1 },
-		"second plug never reached the work buffer")
+	waitFor(t, 5*time.Second, func() bool { return s.pending.Load() == 2 && len(e.queue) == 0 },
+		"second plug never reached the blocked batcher")
 	plug()
-	waitFor(t, 5*time.Second, func() bool { return len(e.queue) == 0 && len(s.work) == 1 },
-		"third plug never reached the blocked batcher")
-	plug()
-	waitFor(t, 5*time.Second, func() bool { return len(e.queue) == 1 },
-		"fourth plug never parked in the queue")
+	waitFor(t, 5*time.Second, func() bool { return s.pending.Load() == 3 && len(e.queue) == 1 },
+		"third plug never parked in the queue")
 
 	for i := 0; i < 100; i++ {
 		if _, err := s.Predict(context.Background(), "m", []float64{0, 0}); !errors.Is(err, ErrOverloaded) {

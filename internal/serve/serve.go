@@ -174,7 +174,7 @@ func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
 		cfg:   cfg,
-		work:  make(chan *batch, cfg.Workers),
+		work:  make(chan *batch), // unbuffered: see dispatch
 		stats: newStatsCore(cfg.Device, cfg.Metrics),
 		done:  make(chan struct{}),
 	}

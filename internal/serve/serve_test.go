@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -367,6 +368,29 @@ func TestStatsString(t *testing.T) {
 	for _, q := range []time.Duration{st.P50, st.P99} {
 		if r := q / latBucket0; q%latBucket0 != 0 || r&(r-1) != 0 {
 			t.Fatalf("latency quantile %v is not a bucket bound 50µs·2^i", q)
+		}
+	}
+}
+
+// BenchmarkWriteOpenMetrics times one OpenMetrics render of a serving
+// registry whose latency histogram carries exemplars: the exposition the
+// observability-overhead study scrapes once a millisecond.
+func BenchmarkWriteOpenMetrics(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	if err := s.Register("m", testModel(50, 4, 3, 1)); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < 200; i++ {
+		if _, err := s.Predict(context.Background(), "m", make([]float64, 4)); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Metrics().WriteOpenMetrics(io.Discard); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
