@@ -104,7 +104,9 @@ const (
 	MethodEigenPro2 = core.MethodEigenPro2
 )
 
-// Model is a trained kernel machine f(x) = Σ_i α_i k(x_i, x).
+// Model is a trained kernel machine f(x) = Σ_i α_i k(x_i, x). Share it by
+// pointer, and do not change its X in place once it has predicted: it
+// caches the centers' squared norms (assigning a new X refreshes them).
 type Model = core.Model
 
 // Result reports a completed training run, including the analytically

@@ -13,14 +13,19 @@ import (
 
 // Model is a trained kernel machine f(x) = Σ_i α_i k(x_i, x) with one
 // coefficient row per training sample and one coefficient column per output
-// dimension.
+// dimension. A Model caches its centers' squared norms, so it must not be
+// copied by value; share it by pointer.
 type Model struct {
 	// Kern is the kernel used at training time. Prediction always uses the
 	// original kernel: the EigenPro preconditioner changes the optimization
 	// path, not the predictor (paper §1, "mathematically equivalent
 	// prediction function").
 	Kern kernel.Func
-	// X holds the training samples / kernel centers (n x d).
+	// X holds the training samples / kernel centers (n x d). A trained
+	// model's X is the caller's training matrix, not a copy. Once the model
+	// has predicted or trained, X's values must not change in place: the
+	// cached ‖x_i‖² would no longer match them. Assigning a new X refreshes
+	// the cache.
 	X *mat.Dense
 	// Alpha holds the model coefficients (n x l).
 	Alpha *mat.Dense

@@ -111,6 +111,9 @@ func MulTToThen(dst, a, b *Dense, then func(i, lo int, seg []float64)) {
 	if dst.Rows != a.Rows || dst.Cols != b.Rows {
 		panic(dimErr("MulTTo dst", dst, b))
 	}
+	checkData("MulTTo", a)
+	checkData("MulTTo", b)
+	checkData("MulTTo dst", dst)
 	n, m, k := a.Rows, b.Rows, a.Cols
 	if n == 0 || m == 0 {
 		return

@@ -110,6 +110,30 @@ func TestMulTToDimPanics(t *testing.T) {
 	MulTTo(NewDense(2, 2), NewDense(2, 3), NewDense(4, 3))
 }
 
+// TestMulTToShortDataPanics checks that an operand whose Data is shorter
+// than Rows x Cols panics before the micro-kernel reads or writes past it.
+func TestMulTToShortDataPanics(t *testing.T) {
+	short := func(r, c int) *Dense { return &Dense{Rows: r, Cols: c, Data: make([]float64, r*c-1)} }
+	for _, c := range []struct {
+		name      string
+		dst, a, b *Dense
+	}{
+		{"a", NewDense(4, 8), short(4, 784), NewDense(8, 784)},
+		{"b", NewDense(4, 8), NewDense(4, 784), short(8, 784)},
+		{"dst", short(4, 8), NewDense(4, 784), NewDense(8, 784)},
+		{"negative", &Dense{Rows: 1, Cols: 1, Data: []float64{0}}, &Dense{Rows: 1, Cols: -4}, &Dense{Rows: 1, Cols: -4}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: MulTTo accepted a short operand", c.name)
+				}
+			}()
+			MulTTo(c.dst, c.a, c.b)
+		}()
+	}
+}
+
 func TestMulToReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	a := randDense(rng, 6, 4)

@@ -178,7 +178,6 @@ type EventLog struct {
 	sinkMu   sync.Mutex
 	sink     io.Writer
 	sinkMin  Level
-	sinkBuf  []byte // one encoded record, reused under sinkMu
 	sinkErrs atomic.Uint64
 }
 
@@ -259,12 +258,7 @@ func (l *EventLog) sinkTo(ev *Event) {
 	if l.sink == nil || ev.Level < l.sinkMin {
 		return
 	}
-	b, err := ev.appendJSON(l.sinkBuf[:0])
-	l.sinkBuf = b
-	if err == nil {
-		_, err = l.sink.Write(b)
-	}
-	if err != nil {
+	if err := json.NewEncoder(l.sink).Encode(ev); err != nil {
 		l.sinkErrs.Add(1)
 	}
 }

@@ -192,11 +192,6 @@ func TestDeadlineAwareShedding(t *testing.T) {
 	}
 }
 
-// TestPluggedPipelineRejects floods a plugged pipeline: with the worker,
-// the work buffer, the batcher, and the depth-1 queue all occupied, every
-// further request must be rejected with ErrOverloaded, never admitted.
-// The pipeline is plugged with a gated model so the queue stays full for
-// the whole flood.
 // TestBusyWorkerGetsFullBatches pins the work-conserving batcher: with the
 // only worker blocked, 2·m_max queued requests must leave as exactly two
 // full batches once it frees, not as partial waves flushed by the
@@ -258,6 +253,11 @@ func TestBusyWorkerGetsFullBatches(t *testing.T) {
 	}
 }
 
+// TestPluggedPipelineRejects floods a plugged pipeline: with the worker
+// executing, the batcher blocked on its unbuffered send to the worker, and
+// the depth-1 queue all occupied, every further request must be rejected
+// with ErrOverloaded, never admitted. The pipeline is plugged with a gated
+// model so the queue stays full for the whole flood.
 func TestPluggedPipelineRejects(t *testing.T) {
 	s := newTestServer(t, Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 1,
