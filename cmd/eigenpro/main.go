@@ -20,7 +20,7 @@
 // (POST /train, GET /jobs, ...) so models can be trained and hot-deployed
 // over the same server:
 //
-//	eigenpro serve [-model model.gob] [-addr :8095] [-max-latency 2ms]
+//	eigenpro serve [-model model.gob] [-addr :8095] [-max-batch 0]
 //	               [-queue 1024] [-workers 0] [-train-workers 2]
 //	               [-dataset mnist] [-n 1000] [-log-file events.jsonl]
 //	               [-log-every 1]

@@ -32,7 +32,6 @@ func runServe(args []string) {
 	modelPath := fs.String("model", "", "gob model to serve (from eigenpro -save); empty trains a fresh one")
 	name := fs.String("name", "default", "name to register the model under")
 	addr := fs.String("addr", ":8095", "HTTP listen address")
-	maxLatency := fs.Duration("max-latency", 2*time.Millisecond, "micro-batch flush deadline")
 	maxBatch := fs.Int("max-batch", 0, "micro-batch size cap (0 = device m_max)")
 	queue := fs.Int("queue", 1024, "request queue depth per model (admission control)")
 	workers := fs.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
@@ -129,7 +128,6 @@ func runServe(args []string) {
 	}
 	srv := eigenpro.NewServer(eigenpro.ServerConfig{
 		MaxBatch:   *maxBatch,
-		MaxLatency: *maxLatency,
 		QueueDepth: *queue,
 		Workers:    *workers,
 		Timeout:    *timeout,

@@ -204,7 +204,7 @@ var (
 type Server = serve.Server
 
 // ServerConfig configures NewServer; zero values select the defaults
-// (simulated Titan Xp device, 2ms flush latency, GOMAXPROCS workers).
+// (simulated Titan Xp device, GOMAXPROCS workers).
 type ServerConfig = serve.Config
 
 // ServerStats is a snapshot of a server's counters: throughput, p50/p99

@@ -2,11 +2,13 @@
 // concurrent clients at it, and print the serving statistics — the paper's
 // device-adaptive batching discipline applied to the prediction path.
 //
-// The same requests served one at a time would each pay a full kernel
-// launch plus execution wave on the device; the server coalesces them into
-// micro-batches sized to the device model's m_max, so the device-time
-// column of the stats is many times smaller than request-count × single-
-// request cost.
+// A request runs as soon as a worker is free; the requests that arrive
+// while the workers are busy coalesce into micro-batches of up to the
+// device model's m_max. How full the batches get follows the load. The
+// device columns of the stats are simulated: the device model charges a
+// fixed launch plus execution wave per batch, so the lighter the load and
+// the smaller the batches, the more simulated device time the same
+// requests cost, while their wall-clock latency falls.
 package main
 
 import (

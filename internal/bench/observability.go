@@ -66,7 +66,6 @@ func runObsPoint(m *core.Model, clients, perClient int, instrumented bool) (ObsO
 	cfg := serve.Config{
 		QueueDepth: clients*perClient + 1,
 		Workers:    1,
-		MaxLatency: time.Millisecond,
 		Timeout:    -1,
 	}
 	if instrumented {

@@ -52,9 +52,8 @@ func runServingPoint(m *core.Model, clients, perClient int, batched bool) (Servi
 		QueueDepth: clients*perClient + 1,
 		// One worker models one device: predictions serialize on it in
 		// both modes, exactly like kernel launches on a single GPU.
-		Workers:    1,
-		MaxLatency: time.Millisecond,
-		Timeout:    -1,
+		Workers: 1,
+		Timeout: -1,
 	}
 	if !batched {
 		cfg.MaxBatch = 1

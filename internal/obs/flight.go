@@ -11,7 +11,6 @@ import (
 	"runtime/pprof"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -80,7 +79,11 @@ type FlightRecorder struct {
 	busy     atomic.Bool  // a capture goroutine is in flight
 	captures atomic.Uint64
 	skipped  atomic.Uint64
-	wg       sync.WaitGroup
+	// done is closed when the newest capture's goroutine finishes. busy
+	// allows one capture at a time, so the newest is the only one that can
+	// be in flight. (A WaitGroup would race: Capture's Add from a zero
+	// count may not run concurrently with Wait.)
+	done atomic.Pointer[chan struct{}]
 }
 
 // NewFlightRecorder returns a recorder writing snapshots under cfg.Dir,
@@ -137,7 +140,9 @@ func (f *FlightRecorder) Wait() {
 	if f == nil {
 		return
 	}
-	f.wg.Wait()
+	if done := f.done.Load(); done != nil {
+		<-*done
+	}
 }
 
 // slugRe strips anything that would not survive as a directory-name
@@ -172,9 +177,10 @@ func (f *FlightRecorder) Capture(reason string, meta map[string]any) (string, bo
 		slug = "manual"
 	}
 	dir := filepath.Join(f.cfg.Dir, now.UTC().Format("20060102T150405.000")+"-"+slug)
-	f.wg.Add(1)
+	done := make(chan struct{})
+	f.done.Store(&done)
 	go func() {
-		defer f.wg.Done()
+		defer close(done)
 		defer f.busy.Store(false)
 		f.write(dir, reason, now, meta)
 	}()

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -99,6 +100,24 @@ func TestFlightRateLimit(t *testing.T) {
 	}
 	if f.Captures() != 1 || f.Skipped() != 1 {
 		t.Fatalf("captures/skipped = %d/%d, want 1/1", f.Captures(), f.Skipped())
+	}
+}
+
+// TestFlightWaitRacesCapture runs Wait on one goroutine while Capture
+// starts a snapshot on another, as a test reading the SLO evaluator's page
+// event does while the evaluator triggers the recorder. Run it with -race.
+func TestFlightWaitRacesCapture(t *testing.T) {
+	f, _ := flightFixture(t, FlightConfig{MinInterval: time.Nanosecond, CPUProfile: -1})
+	for i := 0; i < 200; i++ {
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { defer wg.Done(); f.Capture("race", nil) }()
+		go func() { defer wg.Done(); f.Wait() }()
+		wg.Wait()
+	}
+	f.Wait()
+	if f.Captures() == 0 {
+		t.Fatal("no capture accepted")
 	}
 }
 

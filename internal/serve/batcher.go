@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -20,11 +21,20 @@ type request struct {
 	// request has been admitted to a queue; settle decrements it exactly
 	// once, on whichever path completes the request. Drain waits on it.
 	pending *atomic.Int64
-	// abandoned marks a caller that returned without its context being
-	// canceled (server shutdown raced the response); checked together with
-	// ctx.Err so no device work is spent on a response nobody reads.
-	abandoned atomic.Bool
+	// state turns reqDelivered when a worker delivers the result, or
+	// reqGone when the caller returns first (cancellation or shutdown); a
+	// caller collecting a delivered result turns it reqGone too.
+	state atomic.Int32
+	// collect is the delivering worker's count of uncollected results.
+	collect *sync.WaitGroup
 }
+
+// Request states; see request.state.
+const (
+	reqQueued int32 = iota
+	reqDelivered
+	reqGone
+)
 
 // fail completes the request with an error.
 func (r *request) fail(err error) {
@@ -41,16 +51,23 @@ func (r *request) settle() {
 	}
 }
 
-// abandon marks the request as having no caller waiting on it.
-func (r *request) abandon() { r.abandoned.Store(true) }
+// leave records that the caller has returned from Predict, with or without
+// the result. It runs exactly once per admitted request; leaving a
+// delivered request releases the worker waiting in deliver.
+func (r *request) leave() {
+	if r.state.Swap(reqGone) == reqDelivered {
+		r.collect.Done()
+	}
+}
 
-// isAbandoned reports whether the caller has given up on this request.
-// The context check is what makes cancellation propagation prompt: cancel()
-// publishes ctx.Err synchronously, so a request canceled while queued is
-// visible to the batcher and workers without waiting for the caller's
-// goroutine to be rescheduled.
+// isAbandoned reports whether the caller has given up on this request, so
+// no device work is spent on a response nobody reads. The context check is
+// what makes cancellation propagation prompt: cancel() publishes ctx.Err
+// synchronously, so a request canceled while queued is visible to the
+// batcher and workers without waiting for the caller's goroutine to be
+// rescheduled.
 func (r *request) isAbandoned() bool {
-	return r.abandoned.Load() || (r.ctx != nil && r.ctx.Err() != nil)
+	return r.state.Load() == reqGone || (r.ctx != nil && r.ctx.Err() != nil)
 }
 
 // batch is one coalesced micro-batch handed to the worker pool.
@@ -60,9 +77,8 @@ type batch struct {
 }
 
 // runBatcher is the per-model coalescing loop: it blocks for the first
-// request, then gathers more until the batch reaches the model's m_max or
-// the first request has waited MaxLatency, and dispatches the result to the
-// worker pool. One goroutine per registry entry.
+// request, gathers whatever else is already queued, and dispatches the
+// batch to the worker pool. One goroutine per registry entry.
 func (s *Server) runBatcher(e *entry) {
 	defer s.collWG.Done()
 	for {
@@ -76,54 +92,19 @@ func (s *Server) runBatcher(e *entry) {
 	}
 }
 
-// gather coalesces live requests behind first until the batch is full or
-// MaxLatency has elapsed since first arrived. Requests that no longer need
-// device work (caller canceled, deadline already lapsed) are reaped as they
-// are pulled, so a backlog of corpses cannot dilute batch occupancy.
+// gather returns first plus the live requests already queued, up to the
+// model's m_max, without waiting for more: an idle worker takes what is
+// there, and while every worker is busy dispatch keeps filling the batch.
+// Requests that no longer need device work (caller canceled, deadline
+// lapsed) are reaped as they are pulled, so a backlog of corpses cannot
+// dilute batch occupancy. The slice is sized to what is queued, not to
+// m_max, which runs to millions of rows for a small model.
 func (s *Server) gather(e *entry, first *request) []*request {
 	max := int(e.maxBatch.Load())
-	reqs := make([]*request, 0, max)
+	reqs := make([]*request, 0, min(max, 1+len(e.queue)))
 	if !s.reap(e, first, time.Now()) {
 		reqs = append(reqs, first)
 	}
-	if max <= 1 {
-		return reqs
-	}
-	// The latency bound is anchored at the first request's enqueue time,
-	// not at batcher pickup: time already spent waiting in the queue
-	// counts against its MaxLatency window.
-	remain := s.cfg.MaxLatency - time.Since(first.enq)
-	if remain <= 0 {
-		// Saturation: the first request already waited out its flush
-		// window in the queue, so the backlog holds at least one wave of
-		// work. Racing an already-fired timer against the queue in the
-		// select below would dispatch near-empty batches at exactly the
-		// moment full batches are available — drain the ready backlog
-		// up to m_max instead.
-		return s.drainReady(e, reqs, max)
-	}
-	timer := time.NewTimer(remain)
-	defer timer.Stop()
-	for len(reqs) < max {
-		select {
-		case r := <-e.queue:
-			if !s.reap(e, r, time.Now()) {
-				reqs = append(reqs, r)
-			}
-		case <-timer.C:
-			// Flush deadline: top up with whatever is already queued
-			// before dispatching — a non-blocking drain adds no latency.
-			return s.drainReady(e, reqs, max)
-		case <-s.done:
-			return reqs
-		}
-	}
-	return reqs
-}
-
-// drainReady appends already-queued live requests without blocking until
-// the batch reaches max or the queue is momentarily empty.
-func (s *Server) drainReady(e *entry, reqs []*request, max int) []*request {
 	for len(reqs) < max {
 		select {
 		case r := <-e.queue:
@@ -140,8 +121,7 @@ func (s *Server) drainReady(e *entry, reqs []*request, max int) []*request {
 // dispatch hands a batch to the first free worker. s.work is unbuffered,
 // so while every worker is busy the batch stays here and keeps taking
 // queued requests, up to m_max: the wave a worker finally runs is as full
-// as the backlog allows, instead of a partial one that a flush timer sent
-// out while no worker could take it. During shutdown the workers are still
+// as the backlog allows. During shutdown the workers are still
 // draining s.work (Close waits for the batchers before closing it), so
 // the send cannot block forever.
 func (s *Server) dispatch(b *batch) {

@@ -19,7 +19,7 @@ import (
 // the server is idle.
 func TestDrainFlushesInFlightRequests(t *testing.T) {
 	ev := obs.NewEventLog(64)
-	s := newTestServer(t, Config{Events: ev, MaxBatch: 4, MaxLatency: 5 * time.Millisecond})
+	s := newTestServer(t, Config{Events: ev, MaxBatch: 4})
 	if err := s.Register("default", slowModel(20*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestDrainTimeoutReportsInFlight(t *testing.T) {
 // request either succeeds or is rejected with ErrDraining — none fail with a
 // shutdown error after being admitted.
 func TestDrainZeroLossUnderLoad(t *testing.T) {
-	s := newTestServer(t, Config{MaxBatch: 8, QueueDepth: 64, MaxLatency: time.Millisecond})
+	s := newTestServer(t, Config{MaxBatch: 8, QueueDepth: 64})
 	if err := s.Register("default", slowModel(200*time.Microsecond)); err != nil {
 		t.Fatal(err)
 	}

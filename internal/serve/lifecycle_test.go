@@ -40,18 +40,60 @@ func (k gateKernel) Eval(x, z []float64) float64 {
 }
 func (k gateKernel) Name() string { return "gate" }
 
-func gatedModel(t *testing.T) (*core.Model, <-chan struct{}) {
+// gatedModel returns a one-center model whose kernel blocks until release
+// is called, and the channel its evaluations announce themselves on.
+func gatedModel(t *testing.T) (m *core.Model, entered <-chan struct{}, release func()) {
 	t.Helper()
 	gate := make(chan struct{})
-	entered := make(chan struct{}, 64)
-	// Opening the gate is registered after newTestServer's s.Close, so it
-	// runs first and Close never waits on a stalled worker.
-	t.Cleanup(func() { close(gate) })
+	var open sync.Once
+	release = func() { open.Do(func() { close(gate) }) }
+	// Registered after newTestServer's s.Close, so it runs first and Close
+	// never waits on a stalled worker.
+	t.Cleanup(release)
+	ent := make(chan struct{}, 64)
 	return &core.Model{
-		Kern:  gateKernel{gate: gate, entered: entered},
+		Kern:  gateKernel{gate: gate, entered: ent},
 		X:     mat.NewDenseData(1, 2, []float64{0, 0}),
 		Alpha: mat.NewDenseData(1, 1, []float64{1}),
-	}, entered
+	}, ent, release
+}
+
+// gatedBurst gates the only worker on one request, sends n more, waits
+// until the batcher holds min(n, mmax) of them in one batch and the rest
+// sit in the queue, then releases the worker and returns the stats once
+// every request has completed. The held batch is full or holds everything
+// by then, so the release cannot race a top-up.
+func gatedBurst(t *testing.T, mmax, n int) Stats {
+	t.Helper()
+	s := newTestServer(t, Config{Workers: 1, MaxBatch: mmax, QueueDepth: n, Timeout: -1})
+	m, entered, release := gatedModel(t)
+	if err := s.Register("m", m); err != nil {
+		t.Fatal(err)
+	}
+	e, ok := s.reg.entry("m")
+	if !ok {
+		t.Fatal("entry missing")
+	}
+	var wg sync.WaitGroup
+	predict := func() {
+		defer wg.Done()
+		if _, err := s.Predict(context.Background(), "m", []float64{0, 0}); err != nil {
+			t.Error(err)
+		}
+	}
+	wg.Add(1)
+	go predict()
+	<-entered // the worker is executing the first request and gated
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go predict()
+	}
+	queued := n - min(n, mmax)
+	waitFor(t, 5*time.Second, func() bool { return s.pending.Load() == int64(n+1) && len(e.queue) == queued },
+		"requests never reached the batcher and queue")
+	release()
+	wg.Wait()
+	return s.Stats()
 }
 
 // TestCanceledRequestNeverExecutes pins cancellation propagation: a request
@@ -60,8 +102,7 @@ func gatedModel(t *testing.T) (*core.Model, <-chan struct{}) {
 // counted as abandoned rather than expired.
 func TestCanceledRequestNeverExecutes(t *testing.T) {
 	s := newTestServer(t, Config{
-		Workers: 1, MaxBatch: 4, QueueDepth: 16,
-		MaxLatency: time.Millisecond, Timeout: -1,
+		Workers: 1, MaxBatch: 4, QueueDepth: 16, Timeout: -1,
 	})
 	m := slowModel(time.Millisecond)
 	if err := s.Register("m", m); err != nil {
@@ -97,15 +138,14 @@ func TestCanceledRequestNeverExecutes(t *testing.T) {
 	}
 }
 
-// TestSaturationOccupancy pins the occupancy fix: when queue wait exceeds
-// MaxLatency (sustained overload), gather must drain the backlog into full
-// batches instead of racing the fired flush timer, keeping mean occupancy
-// at >= 0.8*m_max.
+// TestSaturationOccupancy pins occupancy under sustained overload: while
+// the only worker is busy the batcher keeps filling the next batch from
+// the backlog, so batches leave full and mean occupancy stays at
+// >= 0.8*m_max.
 func TestSaturationOccupancy(t *testing.T) {
 	const mmax = 8
 	s := newTestServer(t, Config{
-		Workers: 1, MaxBatch: mmax, QueueDepth: 256,
-		MaxLatency: time.Millisecond, Timeout: -1,
+		Workers: 1, MaxBatch: mmax, QueueDepth: 256, Timeout: -1,
 	})
 	if err := s.Register("m", slowModel(2*time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -138,15 +178,14 @@ func TestSaturationOccupancy(t *testing.T) {
 	}
 }
 
-// TestDeadlineAwareShedding pins Config.Shed: once the per-row service
+// TestDeadlineAwareShedding pins Config.Shed: once the batch service-time
 // EWMA is primed, a flood against a busy worker must shed the requests
 // whose deadline cannot survive the estimated queue wait — at admission,
 // with ErrShed (mapped to 429 by the HTTP layer) — while still admitting
 // the requests that can make it.
 func TestDeadlineAwareShedding(t *testing.T) {
 	s := newTestServer(t, Config{
-		Workers: 1, MaxBatch: 1, QueueDepth: 64, Shed: true,
-		MaxLatency: time.Millisecond, Timeout: 30 * time.Millisecond,
+		Workers: 1, MaxBatch: 1, QueueDepth: 64, Shed: true, Timeout: 30 * time.Millisecond,
 	})
 	if err := s.Register("m", slowModel(20*time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -192,61 +231,33 @@ func TestDeadlineAwareShedding(t *testing.T) {
 	}
 }
 
+// TestShedEstimateCountsWaves pins the unit of the shed estimate: a queue
+// that fits in one wave of m_max waits one batch time, however few rows the
+// measured batch carried, and each further wave adds one more.
+func TestShedEstimateCountsWaves(t *testing.T) {
+	e := &entry{queue: make(chan *request, 64)}
+	e.maxBatch.Store(32)
+	e.observeService(5 * time.Millisecond) // one 1-row batch
+	for i := 0; i < 31; i++ {
+		e.queue <- &request{}
+	}
+	if got := e.estimatedWait(); got != 5*time.Millisecond {
+		t.Fatalf("31 queued at m_max 32 after a 5ms batch: estimated %v, want one wave (5ms)", got)
+	}
+	e.queue <- &request{}
+	e.queue <- &request{}
+	if got := e.estimatedWait(); got != 10*time.Millisecond {
+		t.Fatalf("33 queued at m_max 32: estimated %v, want two waves (10ms)", got)
+	}
+}
+
 // TestBusyWorkerGetsFullBatches pins the work-conserving batcher: with the
 // only worker blocked, 2·m_max queued requests must leave as exactly two
-// full batches once it frees, not as partial waves flushed by the
-// MaxLatency timer while no worker could take them.
+// full batches once it frees, not as partial waves handed out while no
+// worker could take them.
 func TestBusyWorkerGetsFullBatches(t *testing.T) {
 	const mmax = 4
-	s := newTestServer(t, Config{
-		Workers: 1, MaxBatch: mmax, QueueDepth: 2 * mmax,
-		MaxLatency: time.Millisecond, Timeout: -1,
-	})
-	gate := make(chan struct{})
-	var open sync.Once
-	release := func() { open.Do(func() { close(gate) }) }
-	// Registered after newTestServer's Close, so a failing test still opens
-	// the gate before Close waits for the worker.
-	t.Cleanup(release)
-	entered := make(chan struct{}, 2*mmax+1)
-	m := &core.Model{
-		Kern:  gateKernel{gate: gate, entered: entered},
-		X:     mat.NewDenseData(1, 2, []float64{0, 0}),
-		Alpha: mat.NewDenseData(1, 1, []float64{1}),
-	}
-	if err := s.Register("m", m); err != nil {
-		t.Fatal(err)
-	}
-	e, ok := s.reg.entry("m")
-	if !ok {
-		t.Fatal("entry missing")
-	}
-	var wg sync.WaitGroup
-	errs := make(chan error, 2*mmax+1) // one slot per request: sends never block
-	predict := func() {
-		defer wg.Done()
-		if _, err := s.Predict(context.Background(), "m", []float64{0, 0}); err != nil {
-			errs <- err
-		}
-	}
-	wg.Add(1)
-	go predict()
-	<-entered // the worker is executing the first request and gated
-	wg.Add(2 * mmax)
-	for i := 0; i < 2*mmax; i++ {
-		go predict()
-	}
-	// Every request admitted and m_max of them still queued: the batcher
-	// holds the other m_max in one batch, waiting for the worker.
-	waitFor(t, 5*time.Second, func() bool { return s.pending.Load() == 2*mmax+1 && len(e.queue) == mmax },
-		"requests never reached the batcher and queue")
-	release()
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Error(err)
-	}
-	st := s.Stats()
+	st := gatedBurst(t, mmax, 2*mmax)
 	if st.Batches != 3 || st.Requests != 2*mmax+1 {
 		t.Fatalf("%d requests ran in %d batches, want %d in 3 (the gated one, then two of %d)",
 			st.Requests, st.Batches, 2*mmax+1, mmax)
@@ -260,10 +271,9 @@ func TestBusyWorkerGetsFullBatches(t *testing.T) {
 // model so the queue stays full for the whole flood.
 func TestPluggedPipelineRejects(t *testing.T) {
 	s := newTestServer(t, Config{
-		Workers: 1, MaxBatch: 1, QueueDepth: 1,
-		MaxLatency: time.Millisecond, Timeout: -1,
+		Workers: 1, MaxBatch: 1, QueueDepth: 1, Timeout: -1,
 	})
-	m, entered := gatedModel(t)
+	m, entered, _ := gatedModel(t)
 	if err := s.Register("m", m); err != nil {
 		t.Fatal(err)
 	}

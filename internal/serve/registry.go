@@ -21,33 +21,39 @@ type entry struct {
 	model    atomic.Pointer[core.Model]
 	maxBatch atomic.Int64
 	queue    chan *request
-	// svcPerRowNanos is an EWMA of the wall-clock device service time per
-	// executed batch row, maintained by execute and read by deadline-aware
+	// svcBatchNanos is an EWMA of the wall-clock device service time per
+	// executed batch, maintained by execute and read by deadline-aware
 	// admission (Config.Shed).
-	svcPerRowNanos atomic.Int64
+	svcBatchNanos atomic.Int64
 }
 
-// observeService folds one executed batch into the per-row service EWMA
+// observeService folds one executed batch into the batch service-time EWMA
 // (α = 1/4). A racing store loses one sample, which the next batch repairs.
-func (e *entry) observeService(d time.Duration, rows int) {
-	if rows <= 0 || d <= 0 {
+func (e *entry) observeService(d time.Duration) {
+	if d <= 0 {
 		return
 	}
-	per := int64(d) / int64(rows)
-	old := e.svcPerRowNanos.Load()
+	old := e.svcBatchNanos.Load()
 	if old == 0 {
-		e.svcPerRowNanos.Store(per)
+		e.svcBatchNanos.Store(int64(d))
 		return
 	}
-	e.svcPerRowNanos.Store(old + (per-old)/4)
+	e.svcBatchNanos.Store(old + (int64(d)-old)/4)
 }
 
 // estimatedWait predicts how long a newly enqueued request would sit in
-// the queue: the requests ahead of it × the EWMA per-row service time.
-// With multiple workers this over-estimates, so shedding stays
-// conservative about admitting. Zero until the first batch is measured.
+// the queue: the waves ahead of it, ceil(queued/m_max), × the EWMA batch
+// time. That is the paper's cost model, where a wave costs the same for one
+// row as for m_max; a per-row rate would charge a long queue the per-batch
+// overhead of the small batches an idle worker runs. Limits: with several
+// workers it over-estimates; with a simulated m_max far above the host's
+// real knee a long queue runs as one wave slower than the recent ones, so
+// it under-counts, errs toward admitting, and reaping still drops what
+// expires. Zero until the first batch is measured.
 func (e *entry) estimatedWait() time.Duration {
-	return time.Duration(e.svcPerRowNanos.Load() * int64(len(e.queue)))
+	m := e.maxBatch.Load()
+	waves := (int64(len(e.queue)) + m - 1) / m
+	return time.Duration(waves * e.svcBatchNanos.Load())
 }
 
 // Registry maps names to hot-swappable models. Swapping is atomic with

@@ -8,14 +8,16 @@
 // against an n-center model performs n·(d+l) multiply-adds, typically a
 // small fraction of one execution wave; serving requests one at a time pays
 // a full launch overhead plus wave per request. This package therefore
-// queues concurrent requests per model and flushes them as one blocked
-// kernel-GEMM evaluation when either the batch reaches m_max (computed from
-// the same device cost accounting core.SelectParams uses for training) or
-// the oldest queued request has waited MaxLatency.
+// queues requests per model and runs them as one kernel-GEMM evaluation of
+// up to m_max rows (from the device cost accounting core.SelectParams uses
+// for training). Dispatch follows worker availability, not a clock: an idle
+// worker takes what is queued at once, and while every worker is busy (up
+// to the moment the callers of its last batch have collected their results)
+// the next batch fills toward m_max, so batches are full when work waits.
 //
 // Components:
 //
-//   - batcher: per-model bounded queue, max-latency flush, m_max-sized
+//   - batcher: per-model bounded queue, work-conserving m_max-sized
 //     coalescing (batcher.go)
 //   - worker pool: executes coalesced batches with Model.PredictBatch and
 //     charges the simulated device clock (serve.go)
@@ -73,10 +75,6 @@ type Config struct {
 	Device *device.Device
 	// MaxBatch overrides the per-model m_max = Device.ServeBatch when > 0.
 	MaxBatch int
-	// MaxLatency is the flush deadline: a non-full batch is dispatched once
-	// its oldest request has waited this long. <= 0 selects
-	// DefaultMaxLatency.
-	MaxLatency time.Duration
 	// QueueDepth bounds each model's request queue (admission control);
 	// <= 0 selects DefaultQueueDepth.
 	QueueDepth int
@@ -87,8 +85,8 @@ type Config struct {
 	// context has none. 0 selects DefaultTimeout; < 0 disables the default.
 	Timeout time.Duration
 	// Shed enables deadline-aware admission control: a request whose
-	// deadline cannot survive the estimated queue wait (queued requests ×
-	// an EWMA of recent per-row batch service time) is rejected with
+	// deadline cannot survive the estimated queue wait (the m_max waves
+	// ahead of it × an EWMA of recent batch service time) is rejected with
 	// ErrShed at enqueue instead of queueing work that is doomed to expire.
 	Shed bool
 	// Metrics is the registry the serving telemetry registers into; nil
@@ -119,7 +117,6 @@ type Config struct {
 
 // Defaults for Config zero values.
 const (
-	DefaultMaxLatency = 2 * time.Millisecond
 	DefaultQueueDepth = 1024
 	DefaultTimeout    = 2 * time.Second
 )
@@ -128,9 +125,6 @@ const (
 func (c Config) withDefaults() Config {
 	if c.Device == nil {
 		c.Device = device.SimTitanXp()
-	}
-	if c.MaxLatency <= 0 {
-		c.MaxLatency = DefaultMaxLatency
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = DefaultQueueDepth
@@ -298,14 +292,13 @@ func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float
 		s.requestEvent(obs.LevelWarn, "rejected", e.name, req, ErrOverloaded)
 		return nil, ErrOverloaded
 	}
+	defer req.leave()
 	select {
 	case <-req.done:
 		return req.out, req.err
 	case <-ctx.Done():
-		req.abandon()
 		return nil, ctx.Err()
 	case <-s.done:
-		req.abandon()
 		return nil, ErrClosed
 	}
 }
@@ -512,7 +505,7 @@ func (s *Server) execute(b *batch) {
 	// on done must already see itself and its batch in the stats snapshot.
 	done := time.Now()
 	deviceTime := done.Sub(execStart)
-	b.entry.observeService(deviceTime, len(live))
+	b.entry.observeService(deviceTime)
 	for _, r := range live {
 		if r.isAbandoned() {
 			// Canceled while the batch was on the device: that work is
@@ -526,12 +519,29 @@ func (s *Server) execute(b *batch) {
 		s.batchEvent(obs.LevelInfo, "ok", b.entry.name, r, batchID, len(live), execStart, deviceTime, nil)
 	}
 	s.stats.recordBatch(len(live))
+	deliver(live, out)
+}
+
+// deliver hands each live request its row and waits until every caller has
+// collected it; only then is the worker free. Callers and workers share the
+// host's cores: a worker that took the next batch at once would find only
+// the few callers that had run since, and a closed loop of callers would
+// split into a batch of one and a batch of the rest that never merge. While
+// the worker waits, its callers resubmit into the batch the batcher holds.
+func deliver(live []*request, out *mat.Dense) {
+	var collect sync.WaitGroup
+	collect.Add(len(live))
 	for i, r := range live {
 		// Copy the row: handing out a RowView would alias the whole batch
 		// matrix across callers (and let one caller's append clobber
 		// another's result).
 		r.out = append([]float64(nil), out.RowView(i)...)
+		r.collect = &collect
+		if !r.state.CompareAndSwap(reqQueued, reqDelivered) {
+			collect.Done() // the caller has already left
+		}
 		r.settle()
 		close(r.done)
 	}
+	collect.Wait()
 }

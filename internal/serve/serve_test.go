@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,6 +15,7 @@ import (
 	"eigenpro/internal/device"
 	"eigenpro/internal/kernel"
 	"eigenpro/internal/mat"
+	"eigenpro/internal/obs"
 )
 
 // testModel builds a deterministic Gaussian-kernel model without training.
@@ -84,71 +86,54 @@ func TestPredictMatchesModel(t *testing.T) {
 	}
 }
 
+// TestBatcherFlushBySize pins the m_max cap: with the only worker gated,
+// m_max requests sent meanwhile leave as one full batch once it frees.
 func TestBatcherFlushBySize(t *testing.T) {
-	// With an effectively infinite flush latency, the only way the batch
-	// can be dispatched is by filling up to MaxBatch.
 	const size = 4
-	s := newTestServer(t, Config{MaxBatch: size, MaxLatency: time.Hour, Timeout: -1})
-	if err := s.Register("m", testModel(10, 3, 2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < size; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.Predict(context.Background(), "m", []float64{1, 2, 3}); err != nil {
-				t.Error(err)
-			}
-		}()
-	}
-	done := make(chan struct{})
-	go func() { wg.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("batch never flushed at size")
-	}
-	st := s.Stats()
-	if st.Batches != 1 || st.MeanOccupancy != size {
-		t.Fatalf("want one full batch of %d, got %d batches, mean occupancy %.1f",
-			size, st.Batches, st.MeanOccupancy)
+	st := gatedBurst(t, size, size)
+	if st.Batches != 2 || st.Requests != size+1 {
+		t.Fatalf("%d requests ran in %d batches, want %d in 2 (the gated one, then one of %d)",
+			st.Requests, st.Batches, size+1, size)
 	}
 }
 
-func TestBatcherFlushByDeadline(t *testing.T) {
-	// Far fewer requests than MaxBatch: only the MaxLatency timer can
-	// flush them, and they must all ride the same micro-batch.
-	s := newTestServer(t, Config{MaxBatch: 64, MaxLatency: 50 * time.Millisecond})
+// TestBatcherLoneRequestRunsAtOnce pins dispatch on worker availability: a
+// lone request on an idle worker runs at once in a batch of its own. A
+// flush hold of any length would put every request's queue wait above the
+// hold; the shortest of a run of lone requests must stay under 1ms.
+func TestBatcherLoneRequestRunsAtOnce(t *testing.T) {
+	const n = 20
+	ev := obs.NewEventLog(64)
+	s := newTestServer(t, Config{Workers: 1, MaxBatch: 64, Events: ev})
 	if err := s.Register("m", testModel(10, 3, 2, 3)); err != nil {
 		t.Fatal(err)
 	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := s.Predict(context.Background(), "m", []float64{0, 1, 2}); err != nil {
-				t.Error(err)
-			}
-		}()
+	for i := 0; i < n; i++ {
+		if _, err := s.Predict(context.Background(), "m", []float64{0, 1, 2}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	wg.Wait()
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("deadline flush took %v", elapsed)
+	if st := s.Stats(); st.Batches != n || st.MeanOccupancy != 1 {
+		t.Fatalf("%d sequential requests ran in %d batches of mean occupancy %.1f, want %d batches of 1",
+			n, st.Batches, st.MeanOccupancy, n)
 	}
-	st := s.Stats()
-	if st.Batches != 1 || st.MeanOccupancy != 3 {
-		t.Fatalf("want one deadline-flushed batch of 3, got %d batches, mean occupancy %.1f",
-			st.Batches, st.MeanOccupancy)
+	evs := ev.Query(obs.EventQuery{Kind: obs.KindServeRequest, Outcome: "ok"})
+	if len(evs) != n {
+		t.Fatalf("%d ok events, want %d", len(evs), n)
+	}
+	least := evs[0].QueueWait
+	for _, e := range evs[1:] {
+		least = min(least, e.QueueWait)
+	}
+	if least >= time.Millisecond {
+		t.Fatalf("shortest queue wait of %d lone requests was %v: something held them", n, least)
 	}
 }
 
 func TestRegistryHotSwapUnderConcurrentPredicts(t *testing.T) {
 	mA := testModel(30, 4, 2, 10)
 	mB := testModel(30, 4, 2, 20) // same shape, different centers/weights
-	s := newTestServer(t, Config{MaxLatency: 200 * time.Microsecond})
+	s := newTestServer(t, Config{})
 	if err := s.Register("m", mA); err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +203,6 @@ func TestBackpressureRejection(t *testing.T) {
 	// control rather than queue without bound.
 	s := newTestServer(t, Config{
 		QueueDepth: 1, Workers: 1, MaxBatch: 1, Timeout: -1,
-		MaxLatency: time.Millisecond,
 	})
 	if err := s.Register("m", slowModel(30*time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -258,7 +242,7 @@ func TestQueuedDeadlineExpires(t *testing.T) {
 	// second's per-request deadline to lapse while it is still queued.
 	s := newTestServer(t, Config{
 		Workers: 1, MaxBatch: 1, QueueDepth: 8,
-		MaxLatency: time.Millisecond, Timeout: 40 * time.Millisecond,
+		Timeout: 40 * time.Millisecond,
 	})
 	if err := s.Register("m", slowModel(150*time.Millisecond)); err != nil {
 		t.Fatal(err)
@@ -304,7 +288,7 @@ func TestRequestErrors(t *testing.T) {
 }
 
 func TestCloseFailsPending(t *testing.T) {
-	s := New(Config{Workers: 1, MaxBatch: 1, MaxLatency: time.Millisecond, Timeout: -1})
+	s := New(Config{Workers: 1, MaxBatch: 1, Timeout: -1})
 	if err := s.Register("m", slowModel(50*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -390,6 +374,60 @@ func BenchmarkWriteOpenMetrics(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := s.Metrics().WriteOpenMetrics(io.Discard); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSingleRowPredictAllocsIndependentOfMMax pins the batch slice's
+// sizing: a lone single-row predict allocates about the same whether the
+// model's m_max is 1 or the millions of rows the simulated device gives a
+// small model.
+func TestSingleRowPredictAllocsIndependentOfMMax(t *testing.T) {
+	perPredict := func(maxBatch int) (bytes uint64, mmax int64) {
+		s := newTestServer(t, Config{MaxBatch: maxBatch})
+		if err := s.Register("m", testModel(50, 4, 3, 1)); err != nil {
+			t.Fatal(err)
+		}
+		e, _ := s.reg.entry("m")
+		x := make([]float64, 4)
+		const n = 200
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			if _, err := s.Predict(context.Background(), "m", x); err != nil {
+				t.Fatal(err)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n, e.maxBatch.Load()
+	}
+	small, _ := perPredict(1)
+	big, mmax := perPredict(0)
+	if mmax < 1<<20 {
+		t.Fatalf("device m_max = %d; the test needs a model with a huge simulated m_max", mmax)
+	}
+	if big > 2*small {
+		t.Fatalf("single-row predict allocates %d B at m_max %d, %d B at m_max 1", big, mmax, small)
+	}
+}
+
+// BenchmarkPredictSingleRow times one lone single-row Predict through the
+// whole serving path (admission, gather, execute, completion) against a
+// 500-center, 18-feature Gaussian model, SUSY's shape, at the default
+// Config, whose simulated m_max is 63,157 rows.
+func BenchmarkPredictSingleRow(b *testing.B) {
+	s := New(Config{})
+	defer s.Close()
+	m := testModel(500, 18, 1, 1)
+	if err := s.Register("m", m); err != nil {
+		b.Fatal(err)
+	}
+	x := m.X.RowView(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Predict(context.Background(), "m", x); err != nil {
 			b.Fatal(err)
 		}
 	}
