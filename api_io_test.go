@@ -64,19 +64,6 @@ func TestPublicSerialization(t *testing.T) {
 	}
 }
 
-func TestPublicSharded(t *testing.T) {
-	ds := SUSYLike(160, 6)
-	res, err := TrainSharded(ShardedConfig{
-		Kernel: GaussianKernel(4), Workers: 2, Epochs: 3, Seed: 6,
-	}, ds.X, ds.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iters == 0 {
-		t.Fatal("no iterations")
-	}
-}
-
 func TestPublicDeviceGroup(t *testing.T) {
 	g, err := NewDeviceGroup(SimTitanXp(), 4, DeviceGroupOptions{
 		SyncOverhead: 100 * time.Microsecond, ScalingEfficiency: 0.9,
@@ -87,6 +74,28 @@ func TestPublicDeviceGroup(t *testing.T) {
 	if g.ParallelOps <= SimTitanXp().ParallelOps {
 		t.Fatal("group capacity did not grow")
 	}
+
+	// Multi-device training is Train on the group: its device time is
+	// charged, and its m_max is at least the single device's.
+	t.Run("train", func(t *testing.T) {
+		ds := SUSYLike(200, 6)
+		cfg := Config{Kernel: GaussianKernel(4), Epochs: 2, Seed: 6}
+		single, err := Train(cfg, ds.X, ds.Y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Device = g
+		grp, err := Train(cfg, ds.X, ds.Y)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if grp.SimTime <= 0 {
+			t.Fatal("group device time not charged")
+		}
+		if grp.Params.MMax < single.Params.MMax {
+			t.Fatalf("group m_max %d below single %d", grp.Params.MMax, single.Params.MMax)
+		}
+	})
 }
 
 func TestPublicBandwidthSelection(t *testing.T) {

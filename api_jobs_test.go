@@ -3,7 +3,6 @@ package eigenpro
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -171,41 +170,6 @@ func TestSubmitTrainingPublicAPI(t *testing.T) {
 	for i, v := range got.Alpha.Data {
 		if v != want.Alpha.Data[i] {
 			t.Fatalf("coefficient %d differs: %v != %v", i, v, want.Alpha.Data[i])
-		}
-	}
-}
-
-// TestShardedTrainerPublicAPI smoke-tests the sharded checkpoint surface.
-func TestShardedTrainerPublicAPI(t *testing.T) {
-	ds := SUSYLike(160, 7)
-	cfg := ShardedConfig{Kernel: GaussianKernel(3), Workers: 2, Epochs: 2, S: 48, Seed: 7}
-	tr, err := NewShardedTrainer(cfg, ds.X, ds.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := tr.Step(); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := tr.Checkpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := ResumeShardedTrainer(&buf, ds.X, ds.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for !resumed.Done() {
-		if _, err := resumed.Step(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ref, err := TrainSharded(cfg, ds.X, ds.Y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range resumed.Result().Model.Alpha.Data {
-		if v != ref.Model.Alpha.Data[i] {
-			t.Fatal(fmt.Sprintf("sharded coefficient %d differs", i))
 		}
 	}
 }

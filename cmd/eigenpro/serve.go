@@ -187,9 +187,9 @@ func runServe(args []string) {
 	}
 
 	if mdl, ok := srv.Model(*name); ok {
-		fmt.Printf("model: %d centers, %d features, %d outputs; device micro-batch m_max=%d\n",
-			mdl.X.Rows, mdl.X.Cols, mdl.Alpha.Cols,
-			eigenpro.SimTitanXp().ServeBatch(mdl.X.Rows, mdl.X.Cols, mdl.Alpha.Cols))
+		mmax, _ := srv.MaxBatch(*name)
+		fmt.Printf("model: %d centers, %d features, %d outputs; micro-batch m_max=%d\n",
+			mdl.X.Rows, mdl.X.Cols, mdl.Alpha.Cols, mmax)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", eigenpro.NewTrainServeHandler(srv, mgr))

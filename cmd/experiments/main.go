@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-run all|figure2|figure3a|figure3b|table1|table2|table3|table4|accel|pca|robustness|serving|overload|jobs|obs-overhead] [-scale small|medium|large]
+//	experiments [-run all|figure2|figure3a|figure3b|table1|table2|table3|table4|accel|pca|robustness|ablation-q|ablation-s|multigpu|serving|overload|jobs|obs-overhead] [-scale small|medium|large]
 package main
 
 import (

@@ -36,7 +36,6 @@ import (
 	"eigenpro/internal/metrics"
 	"eigenpro/internal/obs"
 	"eigenpro/internal/obs/slo"
-	"eigenpro/internal/parallel"
 	"eigenpro/internal/serve"
 	"eigenpro/internal/svm"
 )
@@ -504,7 +503,9 @@ func NewTrainServeHandler(s *Server, m *TrainingManager) http.Handler {
 }
 
 // NewDeviceGroup composes count identical devices into one data-parallel
-// resource (the paper's §6 multi-GPU direction).
+// resource (the paper's §6 multi-GPU direction). Multi-device training is
+// Train or NewTrainer with Config.Device set to the group, whose larger
+// m_max drives the same analytic choice of batch size, q and η.
 func NewDeviceGroup(base *Device, count int, opt DeviceGroupOptions) (*Device, error) {
 	return device.NewGroup(base, count, opt)
 }
@@ -565,34 +566,6 @@ func ReadLibSVM(r io.Reader, name string, dim int) (*Dataset, error) {
 
 // WriteLibSVM writes a dataset in LibSVM/SVMLight sparse format.
 func WriteLibSVM(w io.Writer, ds *Dataset) error { return data.WriteLibSVM(w, ds) }
-
-// ShardedConfig configures data-parallel training across a device group
-// (the paper's §6 multi-GPU direction).
-type ShardedConfig = parallel.Config
-
-// ShardedResult reports a data-parallel run.
-type ShardedResult = parallel.Result
-
-// TrainSharded fits a kernel machine with the center set partitioned
-// across workers; the result matches single-device Train up to roundoff.
-func TrainSharded(cfg ShardedConfig, x, y *Matrix) (*ShardedResult, error) {
-	return parallel.Train(cfg, x, y)
-}
-
-// ShardedTrainer is the interruptible state machine behind TrainSharded,
-// with the same Step/Checkpoint/resume contract as Trainer.
-type ShardedTrainer = parallel.Trainer
-
-// NewShardedTrainer prepares an interruptible sharded training run.
-func NewShardedTrainer(cfg ShardedConfig, x, y *Matrix) (*ShardedTrainer, error) {
-	return parallel.NewTrainer(cfg, x, y)
-}
-
-// ResumeShardedTrainer reconstructs a ShardedTrainer from a checkpoint;
-// the resumed run reproduces the uninterrupted run bit for bit.
-func ResumeShardedTrainer(r io.Reader, x, y *Matrix) (*ShardedTrainer, error) {
-	return parallel.ResumeTrainer(r, x, y)
-}
 
 // MSE returns the mean squared error between predictions and targets.
 func MSE(pred, target *Matrix) float64 { return metrics.MSE(pred, target) }

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -59,11 +60,15 @@ func TestMultiGPUShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	// m_max must be non-decreasing in device count.
-	prev := ""
+	prev := 0
 	for _, row := range rep.Rows {
-		if prev != "" && len(row[1]) < len(prev) {
-			t.Fatalf("m_max shrank: %s -> %s", prev, row[1])
+		mmax, err := strconv.Atoi(row[1])
+		if err != nil {
+			t.Fatalf("m_max cell %q: %v", row[1], err)
 		}
-		prev = row[1]
+		if mmax < prev {
+			t.Fatalf("m_max shrank: %d -> %d", prev, mmax)
+		}
+		prev = mmax
 	}
 }

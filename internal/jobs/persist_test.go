@@ -219,6 +219,60 @@ func TestPersistentCancelStaysCancelledAcrossRestart(t *testing.T) {
 	assertBitIdentical(t, got, ref.Model, "cancel+restart+resume model")
 }
 
+// TestDivergedJobFailsAndStaysFailed drives the failure path: a trainer
+// that diverges ends its job in StateFailed with the error, counts it,
+// emits an error-level job.state event, and a restarted manager replays
+// the journal's failed record instead of re-running the job.
+func TestDivergedJobFailsAndStaysFailed(t *testing.T) {
+	spec := smallSpec("persist-diverge", 100, 6)
+	spec.Config.Eta = 1e9
+	dir := t.TempDir()
+	events := obs.NewEventLog(0)
+	mA, err := Open(Config{Workers: 1, StateDir: dir, Events: events})
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, err := mA.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := mA.Wait(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.State != StateFailed || !strings.Contains(info.Error, "diverged") {
+		t.Fatalf("diverged job: state %q, error %q", info.State, info.Error)
+	}
+	if _, ok := mA.Model(id); ok {
+		t.Fatal("failed job kept a model")
+	}
+	if v, ok := mA.Metrics().Value(MetricJobsFailed); !ok || v != 1 {
+		t.Fatalf("%s = %v,%v", MetricJobsFailed, v, ok)
+	}
+	evs := events.Query(obs.EventQuery{Kind: obs.KindJobState, Job: id, Outcome: string(StateFailed)})
+	if len(evs) != 1 || evs[0].Level != obs.LevelError || evs[0].Err != info.Error {
+		t.Fatalf("job.state failed events: %+v", evs)
+	}
+	mA.Close()
+
+	mB, err := Open(Config{Workers: 1, StateDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mB.Close()
+	got, ok := mB.Job(id)
+	if !ok || got.State != StateFailed || got.Error != info.Error || !got.Recovered {
+		t.Fatalf("failed job after restart: %+v", got)
+	}
+	if got.Finished.IsZero() {
+		t.Fatal("failed job lost its finish time across restart")
+	}
+	failed := obs.L("state", string(StateFailed))
+	if v, ok := mB.Metrics().Value(MetricJobsState, failed); !ok || v != 1 {
+		t.Fatalf("%s{state=failed} after restart = %v,%v", MetricJobsState, v, ok)
+	}
+}
+
 func TestDeletedJobDoesNotReappear(t *testing.T) {
 	dir := t.TempDir()
 	mA, err := Open(Config{Workers: 1, StateDir: dir})

@@ -78,6 +78,28 @@ func TestKernelNames(t *testing.T) {
 	}
 }
 
+// TestByNameFamilyRoundTrip pins the (family, sigma) mapping that the CLI,
+// the HTTP training endpoint and the gob formats share: Family inverts
+// ByName for every listed family, and names outside it are rejected.
+func TestByNameFamilyRoundTrip(t *testing.T) {
+	for _, name := range Families() {
+		k, err := ByName(name, 2.5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		family, sigma, err := Family(k)
+		if err != nil || family != name || sigma != 2.5 {
+			t.Fatalf("Family(ByName(%q, 2.5)) = %q, %v, %v", name, family, sigma, err)
+		}
+	}
+	if _, err := ByName("polynomial", 1); err == nil {
+		t.Fatal("unknown family accepted")
+	}
+	if _, _, err := Family(nil); err == nil {
+		t.Fatal("nil kernel has a family")
+	}
+}
+
 func TestPairwiseSqDistMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := randX(rng, 9, 5)

@@ -218,6 +218,17 @@ func (s *Server) Model(name string) (*core.Model, bool) { return s.reg.model(nam
 // Models returns the registered model names, sorted.
 func (s *Server) Models() []string { return s.reg.names() }
 
+// MaxBatch returns the micro-batch size m_max the server uses for name:
+// Config.MaxBatch when set, else the device's ServeBatch for the model's
+// shape.
+func (s *Server) MaxBatch(name string) (int, bool) {
+	e, ok := s.reg.entry(name)
+	if !ok {
+		return 0, false
+	}
+	return int(e.maxBatch.Load()), true
+}
+
 // maxBatchFor returns the micro-batch size used for a model of the given
 // shape.
 func (s *Server) maxBatchFor(m *core.Model) int {

@@ -322,16 +322,19 @@ func TestServeBatchSizing(t *testing.T) {
 	if err := s.Register("m", m); err != nil {
 		t.Fatal(err)
 	}
-	e, ok := s.reg.entry("m")
-	if !ok {
-		t.Fatal("entry missing")
-	}
 	want := dev.ServeBatch(m.X.Rows, m.X.Cols, m.Alpha.Cols)
-	if got := int(e.maxBatch.Load()); got != want {
-		t.Fatalf("entry maxBatch = %d, want device ServeBatch %d", got, want)
+	if got, ok := s.MaxBatch("m"); !ok || got != want {
+		t.Fatalf("MaxBatch = %d, %v; want device ServeBatch %d", got, ok, want)
 	}
 	if want <= 1 {
 		t.Fatalf("device ServeBatch = %d; expected a multi-request micro-batch", want)
+	}
+	capped := newTestServer(t, Config{Device: dev, MaxBatch: 8})
+	if err := capped.Register("m", m); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := capped.MaxBatch("m"); !ok || got != 8 {
+		t.Fatalf("MaxBatch with Config.MaxBatch 8 = %d, %v", got, ok)
 	}
 }
 
@@ -384,12 +387,12 @@ func BenchmarkWriteOpenMetrics(b *testing.B) {
 // model's m_max is 1 or the millions of rows the simulated device gives a
 // small model.
 func TestSingleRowPredictAllocsIndependentOfMMax(t *testing.T) {
-	perPredict := func(maxBatch int) (bytes uint64, mmax int64) {
+	perPredict := func(maxBatch int) (bytes uint64, mmax int) {
 		s := newTestServer(t, Config{MaxBatch: maxBatch})
 		if err := s.Register("m", testModel(50, 4, 3, 1)); err != nil {
 			t.Fatal(err)
 		}
-		e, _ := s.reg.entry("m")
+		mmax, _ = s.MaxBatch("m")
 		x := make([]float64, 4)
 		const n = 200
 		var before, after runtime.MemStats
@@ -400,7 +403,7 @@ func TestSingleRowPredictAllocsIndependentOfMMax(t *testing.T) {
 			}
 		}
 		runtime.ReadMemStats(&after)
-		return (after.TotalAlloc - before.TotalAlloc) / n, e.maxBatch.Load()
+		return (after.TotalAlloc - before.TotalAlloc) / n, mmax
 	}
 	small, _ := perPredict(1)
 	big, mmax := perPredict(0)
