@@ -25,13 +25,11 @@
 //	               [-dataset mnist] [-n 1000] [-log-file events.jsonl]
 //	               [-log-every 1]
 //
-// The top subcommand is a live terminal dashboard over a running serve
-// process: it polls GET /metrics and GET /debug/events and renders
-// windowed throughput, p50/p99 latency, batch occupancy, shed rate,
-// per-model queues, per-job training progress, and recent warn/error
-// events:
+// Serving counters leave a serve process only through GET /metrics, and
+// SLO standing through GET /debug/slo and GET /readyz.
 //
-//	eigenpro top [-addr localhost:8095] [-interval 1s] [-once]
+// Any other subcommand, or an argument left after the flags, exits 2 with
+// usage on stderr.
 package main
 
 import (
@@ -51,12 +49,20 @@ func main() {
 		case "train":
 			runTrainJob(os.Args[2:])
 			return
-		case "top":
-			runTop(os.Args[2:])
-			return
 		}
 	}
 	runTrain()
+}
+
+// noArgs exits 2 with usage when arguments remain after fs's flags: an
+// unknown subcommand or a stray word must not fall through to a run.
+func noArgs(fs *flag.FlagSet) {
+	if fs.NArg() == 0 {
+		return
+	}
+	fmt.Fprintf(fs.Output(), "unknown subcommand or argument %q (subcommands: serve, train)\n", fs.Arg(0))
+	fs.Usage()
+	os.Exit(2)
 }
 
 func runTrain() {
@@ -70,6 +76,7 @@ func runTrain() {
 	autoSigma := flag.Bool("auto-sigma", false, "select the Gaussian bandwidth by cross-validation (Appendix B), ignoring -kernel/-sigma")
 	savePath := flag.String("save", "", "write the trained model (gob) to this path")
 	flag.Parse()
+	noArgs(flag.CommandLine)
 
 	ds, err := datasetByName(*dataset, *n, *seed)
 	if err != nil {

@@ -59,6 +59,7 @@ func runServe(args []string) {
 	epochs := fs.Int("epochs", 5, "fallback training epochs")
 	seed := fs.Int64("seed", 1, "fallback training seed")
 	fs.Parse(args)
+	noArgs(fs)
 
 	// One registry and one wide-event log shared by serving, the job
 	// manager, and (through it) the per-job trainers: a single /metrics
@@ -193,7 +194,7 @@ func runServe(args []string) {
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/", eigenpro.NewTrainServeHandler(srv, mgr))
-	endpoints := "POST /v1/predict, GET /v1/stats, POST /train, GET /jobs"
+	endpoints := "POST /v1/predict, POST /train, GET /jobs, GET /readyz"
 	if sloEval != nil {
 		endpoints += ", GET /debug/slo, GET /debug/flight"
 	}

@@ -28,6 +28,7 @@ func runTrainJob(args []string) {
 	cancelAfter := fs.Int("cancel-after-epoch", 0, "cancel the job once this many epochs completed, then resume (demonstrates checkpoint/resume)")
 	poll := fs.Duration("poll", 50*time.Millisecond, "status poll interval")
 	fs.Parse(args)
+	noArgs(fs)
 
 	ds, err := datasetByName(*dataset, *n, *seed)
 	if err != nil {

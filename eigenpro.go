@@ -198,7 +198,7 @@ var (
 // Server is a concurrent model server that coalesces individual Predict
 // calls into micro-batches sized to the device model's maximum useful batch
 // m_max — the paper's batching discipline applied to the serving path. See
-// internal/serve for the batching, admission-control, and statistics
+// internal/serve for the batching, admission-control, and telemetry
 // details.
 type Server = serve.Server
 
@@ -206,8 +206,9 @@ type Server = serve.Server
 // (simulated Titan Xp device, GOMAXPROCS workers).
 type ServerConfig = serve.Config
 
-// ServerStats is a snapshot of a server's counters: throughput, p50/p99
-// latency, simulated device time, and the batch-occupancy histogram.
+// ServerStats is an in-process read of a server's serving series: request
+// outcome counts, batches and mean occupancy, p99 latency, and simulated
+// device time. GET /metrics exposes the same series.
 type ServerStats = serve.Stats
 
 // Serving errors a caller can match with errors.Is.
@@ -238,11 +239,12 @@ var (
 func NewServer(cfg ServerConfig) *Server { return serve.New(cfg) }
 
 // NewServerHandler exposes a server over HTTP JSON (POST /v1/predict,
-// GET /v1/models, PUT /v1/models/{name}, GET /v1/stats, GET /metrics,
-// GET /debug/events, GET /debug/slo, GET /debug/flight, GET /healthz,
-// GET /readyz). Every predict response carries its trace ID (trace_id,
-// X-Trace-Id), which finds the request's wide event at
-// GET /debug/events?trace_id= and its latency exemplar at /metrics.
+// GET /v1/models, PUT /v1/models/{name}, GET /metrics, GET /debug/events,
+// GET /debug/slo, GET /debug/flight, GET /healthz, GET /readyz). The
+// serving counters are on GET /metrics. Every predict response carries
+// its trace ID (trace_id, X-Trace-Id), which finds the request's wide
+// event at GET /debug/events?trace_id= and its latency exemplar at
+// /metrics.
 func NewServerHandler(s *Server) http.Handler { return serve.NewHandler(s) }
 
 // MetricsRegistry is a dependency-free metrics registry (counters, gauges,

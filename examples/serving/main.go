@@ -1,14 +1,14 @@
 // Serving: train a small model, stand up the batched inference server, fire
-// concurrent clients at it, and print the serving statistics — the paper's
+// concurrent clients at it, and print the serving counters — the paper's
 // device-adaptive batching discipline applied to the prediction path.
 //
 // A request runs as soon as a worker is free; the requests that arrive
 // while the workers are busy coalesce into micro-batches of up to the
 // device model's m_max. How full the batches get follows the load. The
-// device columns of the stats are simulated: the device model charges a
-// fixed launch plus execution wave per batch, so the lighter the load and
-// the smaller the batches, the more simulated device time the same
-// requests cost, while their wall-clock latency falls.
+// device time is simulated: the device model charges a fixed launch plus
+// execution wave per batch, so the lighter the load and the smaller the
+// batches, the more simulated device time the same requests cost, while
+// their wall-clock latency falls.
 package main
 
 import (
@@ -55,7 +55,7 @@ func main() {
 	// Fire concurrent closed-loop clients, each classifying test rows. Every
 	// tenth request is canceled by its caller before it is issued — an
 	// impatient client hanging up. The server reaps those requests before
-	// they reach the device (the "abandoned" row of the stats below), so no
+	// they reach the device (the "abandoned" count below), so no
 	// device time is spent computing responses nobody reads, and the latency
 	// quantiles carry only delivered responses.
 	const (
@@ -100,10 +100,14 @@ func main() {
 	fmt.Printf("\n%d clients × %d requests (%d hung up): %.1f%% accuracy in %v wall\n",
 		clients, perClient, hungUp.Load(),
 		100*float64(correct.Load())/float64(total.Load()), wall.Round(time.Millisecond))
-	fmt.Println()
-	fmt.Print(srv.Stats())
+	// Stats reads the same series GET /metrics exposes as eigenpro_serve_*.
+	st := srv.Stats()
+	fmt.Printf("served %d, abandoned %d, rejected %d, expired %d; p99 latency %v\n",
+		st.Requests, st.Abandoned, st.Rejected, st.Expired, st.P99)
+	fmt.Printf("%d micro-batches, %v simulated device time (%.0f requests per simulated second)\n",
+		st.Batches, st.SimTime.Round(time.Microsecond), float64(st.Requests)/st.SimTime.Seconds())
 
 	fmt.Printf("\nunbatched, the device model charges each request its own launch + wave;\n")
 	fmt.Printf("coalescing packed %.1f requests per micro-batch on average instead.\n",
-		srv.Stats().MeanOccupancy)
+		st.MeanOccupancy)
 }

@@ -110,8 +110,9 @@ func main() {
 		}
 	}
 	fmt.Println("cancel+resume model is bit-identical to the uninterrupted run ✓")
-	fmt.Println()
-	fmt.Print(srv.Stats())
+	st := srv.Stats()
+	fmt.Printf("served %d requests in %d micro-batches (mean occupancy %.1f), p99 latency %v\n",
+		st.Requests, st.Batches, st.MeanOccupancy, st.P99)
 
 	durabilityWalkthrough(cfg, train.X, train.Y, ref.Model)
 }

@@ -40,16 +40,16 @@ const (
 //	POST /v1/predict        {"model":"m","x":[...]} or {"model":"m","xs":[[...],...]}
 //	GET  /v1/models         list registered model names
 //	PUT  /v1/models/{name}  gob model body (core.SaveModel) → register/hot-swap
-//	GET  /v1/stats          serving counters
 //
-// plus the observability and health endpoints NewMux documents. Each row
-// of a predict request is routed through the batcher individually, so
-// concurrent HTTP clients (and the rows of one multi-row request)
-// coalesce into shared device-saturating micro-batches. Every predict
-// request gets one trace ID, echoed in the X-Trace-Id response header
-// and the trace_id response field; GET /debug/events?trace_id= returns
-// the request's wide events, and the OpenMetrics latency bucket it
-// landed in carries the ID as an exemplar.
+// plus the observability and health endpoints NewMux documents; the
+// serving counters are on GET /metrics. Each row of a predict request is
+// routed through the batcher individually, so concurrent HTTP clients
+// (and the rows of one multi-row request) coalesce into shared
+// device-saturating micro-batches. Every predict request gets one trace
+// ID, echoed in the X-Trace-Id response header and the trace_id response
+// field; GET /debug/events?trace_id= returns the request's wide events,
+// and the OpenMetrics latency bucket it landed in carries the ID as an
+// exemplar.
 func NewHandler(s *Server) http.Handler { return NewMux(s, nil) }
 
 // Manager is what the shared observability endpoints read from a
@@ -119,9 +119,6 @@ func NewMux(s *Server, m Manager) *http.ServeMux {
 			return
 		}
 		writeJSON(w, map[string]any{"registered": name})
-	})
-	mux.HandleFunc("/v1/stats", func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, s.Stats())
 	})
 	mountObservability(mux, s, m)
 	return mux
@@ -291,12 +288,16 @@ func statusFor(err error) int {
 	}
 }
 
+// writeJSON encodes v before writing anything, so a value JSON cannot
+// carry (a NaN, say) answers 500 instead of 200 with an empty body.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// Headers are already out; nothing useful left to do.
-		_ = err
+	b, err := json.Marshal(v)
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "encode response: %v", err)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Write(append(b, '\n'))
 }
 
 func httpError(w http.ResponseWriter, code int, format string, args ...any) {

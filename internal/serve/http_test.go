@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -50,17 +51,8 @@ func TestHTTPPredictAndStats(t *testing.T) {
 		}
 	}
 
-	resp, err = http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var st Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Requests != 2 {
-		t.Fatalf("stats over HTTP: %+v", st)
+	if st := s.Stats(); st.Requests != 2 {
+		t.Fatalf("stats after a 2-row predict: %+v", st)
 	}
 }
 
@@ -132,6 +124,24 @@ func TestHTTPErrors(t *testing.T) {
 		t.Fatalf("empty request: status %d, want 400", resp.StatusCode)
 	}
 
+	// A finite row whose sum of squares overflows is a 400 with a message,
+	// not a 200 with an empty body.
+	if err := s.Register("default", testModel(5, 3, 2, 4)); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(ts.URL+"/v1/predict", "application/json",
+		strings.NewReader(`{"x":[1e308,1e308,1e308]}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e struct{ Error string }
+	err = json.NewDecoder(resp.Body).Decode(&e)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || err != nil || e.Error == "" {
+		t.Fatalf("overflowing row: status %d, error %q (%v), want 400 with a message",
+			resp.StatusCode, e.Error, err)
+	}
+
 	resp, err = http.Get(ts.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +149,22 @@ func TestHTTPErrors(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: status %d", resp.StatusCode)
+	}
+}
+
+// TestWriteJSONEncodeFailure checks that a response JSON cannot carry is
+// a 500 with an error body, not a 200 with no bytes.
+func TestWriteJSONEncodeFailure(t *testing.T) {
+	rec := httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"y": math.NaN()})
+	var e struct{ Error string }
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); rec.Code != http.StatusInternalServerError || err != nil || e.Error == "" {
+		t.Fatalf("NaN response: status %d, body %q", rec.Code, rec.Body.String())
+	}
+	rec = httptest.NewRecorder()
+	writeJSON(rec, map[string]float64{"y": 1})
+	if rec.Code != http.StatusOK || rec.Body.String() != "{\"y\":1}\n" {
+		t.Fatalf("finite response: status %d, body %q", rec.Code, rec.Body.String())
 	}
 }
 

@@ -173,7 +173,7 @@ func TestSaturationOccupancy(t *testing.T) {
 		t.Fatalf("delivered %d of %d", st.Requests, clients*perClient)
 	}
 	if floor := 0.8 * mmax; st.MeanOccupancy < floor {
-		t.Fatalf("mean occupancy %.2f under saturation, want >= %.1f (m_max=%d)\n%s",
+		t.Fatalf("mean occupancy %.2f under saturation, want >= %.1f (m_max=%d)\n%+v",
 			st.MeanOccupancy, floor, mmax, st)
 	}
 }

@@ -23,8 +23,9 @@
 //     charges the simulated device clock (serve.go)
 //   - Registry: named, hot-swappable models (registry.go)
 //   - admission control: queue-full rejection and per-request deadlines
-//   - Stats: throughput, latency quantiles, batch-occupancy histogram
-//     (stats.go)
+//   - telemetry: request, batch-occupancy, latency and simulated-device
+//     series in the metrics registry, exposed on GET /metrics and read
+//     in-process by Server.Stats (stats.go)
 //   - HTTP JSON endpoint (http.go)
 package serve
 
@@ -32,6 +33,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -271,6 +273,11 @@ func (s *Server) Predict(ctx context.Context, name string, x []float64) ([]float
 	if m := e.model.Load(); len(x) != m.X.Cols {
 		return nil, fmt.Errorf("serve: model %q wants %d features, got %d", name, m.X.Cols, len(x))
 	}
+	// A NaN or Inf feature, or a sum of squares past the float64 range,
+	// turns every kernel distance into NaN.
+	if ss := mat.Dot(x, x); math.IsNaN(ss) || math.IsInf(ss, 0) {
+		return nil, fmt.Errorf("serve: model %q: features must be finite with a finite sum of squares, got %v", name, ss)
+	}
 	id := obs.TraceIDFrom(ctx)
 	if id == "" {
 		id = obs.NewTraceID()
@@ -323,7 +330,7 @@ func (s *Server) PredictLabel(ctx context.Context, name string, x []float64) (in
 	return mat.ArgMaxRow(out), nil
 }
 
-// Stats returns a snapshot of the serving counters.
+// Stats reads the serving series that GET /metrics exposes.
 func (s *Server) Stats() Stats { return s.stats.snapshot() }
 
 // Metrics returns the registry the serving telemetry registers into.

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"math"
+	"net/http"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -277,6 +278,22 @@ func TestRequestErrors(t *testing.T) {
 	if _, err := s.Predict(context.Background(), "m", []float64{1, 2}); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
+	// Non-finite features, and finite ones whose sum of squares overflows,
+	// are refused before they reach a batch (HTTP 400).
+	for _, x := range [][]float64{
+		{1, math.NaN(), 3},
+		{math.Inf(1), 2, 3},
+		{1, 2, math.Inf(-1)},
+		{1e308, 1e308, 1e308},
+	} {
+		out, err := s.Predict(context.Background(), "m", x)
+		if err == nil || statusFor(err) != http.StatusBadRequest {
+			t.Fatalf("row %v: got %v, %v; want an error that maps to 400", x, out, err)
+		}
+	}
+	if st := s.Stats(); st.Requests != 0 || st.Batches != 0 {
+		t.Fatalf("refused rows reached a batch: %+v", st)
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Predict(ctx, "m", []float64{1, 2, 3}); !errors.Is(err, context.Canceled) {
@@ -338,6 +355,8 @@ func TestServeBatchSizing(t *testing.T) {
 	}
 }
 
+// TestStatsString checks the in-process Stats read: its P99 is an exact
+// latency bucket bound.
 func TestStatsString(t *testing.T) {
 	s := newTestServer(t, Config{})
 	if err := s.Register("m", testModel(10, 2, 1, 8)); err != nil {
@@ -347,15 +366,12 @@ func TestStatsString(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := s.Stats()
-	out := st.String()
-	if out == "" || st.P99 == 0 || len(st.Occupancy) == 0 {
-		t.Fatalf("thin stats rendering: %+v\n%s", st, out)
+	if st.Requests != 1 || st.Batches != 1 || st.MeanOccupancy != 1 || st.P99 == 0 {
+		t.Fatalf("stats after one predict: %+v", st)
 	}
 	// Quantiles are exact bucket bounds, 50µs·2^i.
-	for _, q := range []time.Duration{st.P50, st.P99} {
-		if r := q / latBucket0; q%latBucket0 != 0 || r&(r-1) != 0 {
-			t.Fatalf("latency quantile %v is not a bucket bound 50µs·2^i", q)
-		}
+	if r := st.P99 / latBucket0; st.P99%latBucket0 != 0 || r&(r-1) != 0 {
+		t.Fatalf("latency quantile %v is not a bucket bound 50µs·2^i", st.P99)
 	}
 }
 

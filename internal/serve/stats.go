@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"fmt"
 	"math"
-	"strings"
 	"time"
 
 	"eigenpro/internal/device"
@@ -61,7 +59,7 @@ func init() {
 
 // statsCore accumulates the serving counters as lock-free obs metrics: the
 // hot path (recordDone, recordBatch, charge) performs only atomic adds, so
-// a metrics scrape or a Stats snapshot can never contend with it.
+// a metrics scrape or a Stats read can never contend with it.
 type statsCore struct {
 	start time.Time
 	clock *device.Clock
@@ -136,106 +134,44 @@ func (s *statsCore) recordDone(lat time.Duration, traceID string) {
 	s.lat.ObserveEx(lat.Seconds(), traceID)
 }
 
-// OccupancyBucket is one bar of the batch-occupancy histogram: Count
-// micro-batches carried between Lo and Hi requests inclusive.
-type OccupancyBucket struct {
-	Lo, Hi int
-	Count  int64
-}
-
-// Stats is a point-in-time snapshot of the serving counters.
+// Stats is a point-in-time read of the serving series in the server's
+// metrics registry, the same series GET /metrics exposes.
 type Stats struct {
-	// Uptime is the time since the server started.
-	Uptime time.Duration
 	// Requests counts delivered predictions; Rejected counts queue-full
 	// admissions; Expired counts requests that timed out while queued;
 	// Abandoned counts requests whose caller returned (context canceled,
 	// server closing) before delivery; Shed counts requests rejected by
 	// deadline-aware admission control (Config.Shed).
 	Requests, Rejected, Expired, Abandoned, Shed int64
-	// Batches counts dispatched micro-batches; MeanOccupancy is
-	// Requests-completed-or-failed-in-batch per batch.
+	// Batches counts dispatched micro-batches; MeanOccupancy is the mean
+	// number of requests each carried.
 	Batches       int64
 	MeanOccupancy float64
-	// P50 and P99 are wall-clock enqueue-to-completion latency quantiles
-	// (upper bucket bounds of a log-spaced histogram).
-	P50, P99 time.Duration
-	// Throughput is completed requests per wall second since start.
-	Throughput float64
-	// SimTime and SimOps account the simulated device; SimThroughput is
-	// completed requests per simulated device second — the number the
-	// batched-vs-unbatched comparison is about.
-	SimTime       time.Duration
-	SimOps        float64
-	SimThroughput float64
-	// Occupancy is the non-empty part of the batch-size histogram.
-	Occupancy []OccupancyBucket
+	// P99 is the wall-clock enqueue-to-completion latency quantile: the
+	// upper bound of its bucket in the latency histogram.
+	P99 time.Duration
+	// SimTime and SimOps account the simulated device, not wall time.
+	SimTime time.Duration
+	SimOps  float64
 }
 
-// snapshot derives a Stats from the metrics. It takes no lock: every read
-// is an atomic load, so snapshotting (or scraping /metrics, which reads
-// the same series) cannot stall the request path.
+// snapshot reads the series. It takes no lock: every read is an atomic
+// load, so a Stats read (or a /metrics scrape) cannot stall the request
+// path.
 func (s *statsCore) snapshot() Stats {
-	st := Stats{
-		Uptime:    time.Since(s.start),
-		Requests:  int64(s.requests.Value()),
-		Rejected:  int64(s.rejected.Value()),
-		Expired:   int64(s.expired.Value()),
-		Abandoned: int64(s.abandoned.Value()),
-		Shed:      int64(s.shed.Value()),
-		Batches:   int64(s.batches.Value()),
-		SimTime:   s.clock.Elapsed(),
-		SimOps:    s.clock.Ops(),
+	return Stats{
+		Requests:      int64(s.requests.Value()),
+		Rejected:      int64(s.rejected.Value()),
+		Expired:       int64(s.expired.Value()),
+		Abandoned:     int64(s.abandoned.Value()),
+		Shed:          int64(s.shed.Value()),
+		Batches:       int64(s.batches.Value()),
+		MeanOccupancy: s.occ.Mean(),
+		// Quantile returns a bucket bound in seconds; rounding to the
+		// nanosecond recovers each bound exactly, since every 50µs·2^i
+		// is a whole number of nanoseconds.
+		P99:     time.Duration(math.Round(s.lat.Quantile(0.99) * 1e9)),
+		SimTime: s.clock.Elapsed(),
+		SimOps:  s.clock.Ops(),
 	}
-	if occ := s.occ.Snapshot(); occ.Count > 0 {
-		st.MeanOccupancy = occ.Sum / float64(occ.Count)
-		lo := 1
-		for i, bound := range occ.Bounds {
-			hi := int(bound)
-			c := occ.Counts[i]
-			if i == len(occ.Bounds)-1 {
-				// Fold the overflow bucket into the last bar.
-				c += occ.Counts[len(occ.Counts)-1]
-			}
-			if c > 0 {
-				st.Occupancy = append(st.Occupancy, OccupancyBucket{Lo: lo, Hi: hi, Count: int64(c)})
-			}
-			lo = hi + 1
-		}
-	}
-	if up := st.Uptime.Seconds(); up > 0 {
-		st.Throughput = float64(st.Requests) / up
-	}
-	if sim := st.SimTime.Seconds(); sim > 0 {
-		st.SimThroughput = float64(st.Requests) / sim
-	}
-	// Quantile returns a bucket bound in seconds; rounding to the
-	// nanosecond recovers each bound exactly, since every 50µs·2^i is a
-	// whole number of nanoseconds.
-	st.P50 = time.Duration(math.Round(s.lat.Quantile(0.50) * 1e9))
-	st.P99 = time.Duration(math.Round(s.lat.Quantile(0.99) * 1e9))
-	return st
-}
-
-// String renders the snapshot as an aligned text table.
-func (st Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "serving stats (uptime %v)\n", st.Uptime.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  requests    %-10d rejected %-8d expired %d\n", st.Requests, st.Rejected, st.Expired)
-	fmt.Fprintf(&b, "  abandoned   %-10d shed     %d\n", st.Abandoned, st.Shed)
-	fmt.Fprintf(&b, "  batches     %-10d mean occupancy %.1f\n", st.Batches, st.MeanOccupancy)
-	fmt.Fprintf(&b, "  latency     p50 %v  p99 %v\n", st.P50, st.P99)
-	fmt.Fprintf(&b, "  throughput  %.0f req/s wall, %.0f req/s simulated device (%v device time)\n",
-		st.Throughput, st.SimThroughput, st.SimTime.Round(time.Microsecond))
-	if len(st.Occupancy) > 0 {
-		b.WriteString("  batch occupancy:\n")
-		for _, o := range st.Occupancy {
-			if o.Lo == o.Hi {
-				fmt.Fprintf(&b, "    %6d      %d\n", o.Hi, o.Count)
-			} else {
-				fmt.Fprintf(&b, "    %3d-%-6d  %d\n", o.Lo, o.Hi, o.Count)
-			}
-		}
-	}
-	return b.String()
 }
