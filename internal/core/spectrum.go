@@ -120,20 +120,25 @@ func (sp *Spectrum) EigenfunctionValues(x *mat.Dense, q int) *mat.Dense {
 		panic(fmt.Sprintf("core: EigenfunctionValues q=%d out of [0,%d]", q, sp.QMax()))
 	}
 	phi := kernel.Matrix(sp.Kern, x, sp.Xsub) // n x s
-	idx := make([]int, q)
-	for i := range idx {
-		idx[i] = i
-	}
-	e := mat.Mul(phi, sp.V.SelectCols(idx)) // n x q, = φᵀ v_i
-	sqrtS := sqrtFloat(float64(sp.S()))
-	for j := 0; j < q; j++ {
-		var scale float64
-		if sp.Sigma[j] > 0 {
-			scale = sqrtS / sp.Sigma[j]
-		}
-		for i := 0; i < e.Rows; i++ {
-			e.Set(i, j, e.At(i, j)*scale)
+	s := sp.S()
+	vt := mat.NewDense(q, s) // row i is v_iᵀ
+	for k := 0; k < s; k++ {
+		for i, v := range sp.V.RowView(k)[:q] {
+			vt.Data[i*s+k] = v
 		}
 	}
+	scale := make([]float64, q)
+	sqrtS := sqrtFloat(float64(s))
+	for i, sigma := range sp.Sigma[:q] {
+		if sigma > 0 {
+			scale[i] = sqrtS / sigma
+		}
+	}
+	e := mat.NewDense(x.Rows, q)
+	mat.MulTToThen(e, phi, vt, func(_, lo int, seg []float64) {
+		for j := range seg {
+			seg[j] *= scale[lo+j]
+		}
+	})
 	return e
 }

@@ -1,12 +1,131 @@
 package eigen
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"eigenpro/internal/mat"
 )
+
+// LanczosOptions configures the Lanczos solver.
+type LanczosOptions struct {
+	// Steps is the Krylov subspace dimension; values < 1 default to
+	// min(2q+20, n).
+	Steps int
+	// Seed fixes the random starting vector.
+	Seed int64
+}
+
+// Lanczos computes the q leading eigenpairs of a symmetric matrix with the
+// Lanczos iteration and full reorthogonalization, then solves the small
+// tridiagonal problem with the QL solver. It is a third, algorithmically
+// independent route to the top spectrum (after Sym and TopQSym), kept in
+// the tests for triangulated cross-checks.
+func Lanczos(a *mat.Dense, q int, opt LanczosOptions) (*System, error) {
+	if a.Rows != a.Cols {
+		return nil, fmt.Errorf("eigen: Lanczos of non-square %dx%d matrix", a.Rows, a.Cols)
+	}
+	n := a.Rows
+	if q < 1 || q > n {
+		return nil, fmt.Errorf("eigen: Lanczos q=%d out of [1,%d]", q, n)
+	}
+	steps := opt.Steps
+	if steps < 1 {
+		steps = 2*q + 20
+	}
+	if steps > n {
+		steps = n
+	}
+	if steps < q {
+		return nil, fmt.Errorf("eigen: Lanczos needs steps >= q (%d < %d)", steps, q)
+	}
+
+	rng := rand.New(rand.NewSource(opt.Seed))
+	// Krylov basis vectors stored as rows for contiguity.
+	v := mat.NewDense(steps, n)
+	alpha := make([]float64, steps)
+	beta := make([]float64, steps) // beta[j] couples v_j and v_{j+1}
+
+	v0 := v.RowView(0)
+	for i := range v0 {
+		v0[i] = rng.NormFloat64()
+	}
+	normalize(v0)
+
+	used := steps
+	for j := 0; j < steps; j++ {
+		vj := v.RowView(j)
+		w := mat.MulVec(a, vj)
+		alpha[j] = mat.Dot(vj, w)
+		mat.Axpy(-alpha[j], vj, w)
+		if j > 0 {
+			mat.Axpy(-beta[j-1], v.RowView(j-1), w)
+		}
+		// Full reorthogonalization: Lanczos without it loses orthogonality
+		// as Ritz values converge.
+		for pass := 0; pass < 2; pass++ {
+			for p := 0; p <= j; p++ {
+				vp := v.RowView(p)
+				c := mat.Dot(vp, w)
+				mat.Axpy(-c, vp, w)
+			}
+		}
+		b := mat.Norm2(w)
+		if j+1 < steps {
+			if b < 1e-12 {
+				// Invariant subspace found early; truncate the basis.
+				used = j + 1
+				break
+			}
+			beta[j] = b
+			next := v.RowView(j + 1)
+			inv := 1 / b
+			for i := range next {
+				next[i] = w[i] * inv
+			}
+		}
+	}
+	if used < q {
+		return nil, fmt.Errorf("eigen: Lanczos basis collapsed to %d < q=%d", used, q)
+	}
+
+	// Solve the small tridiagonal eigenproblem T = tridiag(beta, alpha,
+	// beta) with the dense symmetric solver.
+	t := mat.NewDense(used, used)
+	for j := 0; j < used; j++ {
+		t.Set(j, j, alpha[j])
+		if j+1 < used {
+			t.Set(j, j+1, beta[j])
+			t.Set(j+1, j, beta[j])
+		}
+	}
+	small, err := Sym(t)
+	if err != nil {
+		return nil, err
+	}
+	top := small.TopQ(q)
+	// Lift Ritz vectors back: x_i = Vᵀ y_i.
+	basisIdx := make([]int, used)
+	for i := range basisIdx {
+		basisIdx[i] = i
+	}
+	basis := v.SelectRows(basisIdx) // used x n
+	vectors := mat.TMul(basis, top.Vectors)
+	return &System{Values: top.Values, Vectors: vectors}, nil
+}
+
+func normalize(x []float64) {
+	n := mat.Norm2(x)
+	if n == 0 {
+		return
+	}
+	inv := 1 / n
+	for i := range x {
+		x[i] *= inv
+	}
+}
 
 func TestLanczosMatchesFullSolver(t *testing.T) {
 	rng := rand.New(rand.NewSource(90))

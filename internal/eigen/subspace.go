@@ -25,6 +25,10 @@ type TopQOptions struct {
 // repeatedly apply A to an orthonormal block, then solve the small projected
 // eigenproblem. For the rapidly decaying spectra of kernel matrices this
 // costs O(n^2 (q+p) iters) instead of the O(n^3) full solve.
+//
+// The block is kept as Qᵀ, one basis vector per contiguous row, so that
+// (AQ)ᵀ = QᵀAᵀ, the Rayleigh–Ritz matrix and the Ritz vectors are a·bᵀ
+// products on the GEMM micro-kernel and the orthonormalization sweeps rows.
 func TopQSym(a *mat.Dense, q int, opt TopQOptions) (*System, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("eigen: TopQSym of non-square %dx%d matrix", a.Rows, a.Cols)
@@ -49,28 +53,40 @@ func TopQSym(a *mat.Dense, q int, opt TopQOptions) (*System, error) {
 	}
 	b := q + over
 
+	// The n x b Gaussian probe, drawn row by row, stored transposed.
 	rng := rand.New(rand.NewSource(opt.Seed))
-	probe := mat.NewDense(n, b)
-	for i := range probe.Data {
-		probe.Data[i] = rng.NormFloat64()
+	qt := mat.NewDense(b, n)
+	for i := 0; i < n; i++ {
+		for j := 0; j < b; j++ {
+			qt.Data[j*n+i] = rng.NormFloat64()
+		}
 	}
-	qblock := mat.Orthonormalize(probe)
+	mat.OrthonormalizeRows(qt)
+	aqt := mat.NewDense(b, n)
 	for it := 0; it < iters; it++ {
-		qblock = mat.Orthonormalize(mat.Mul(a, qblock))
+		mat.MulTTo(aqt, qt, a) // (AQ)ᵀ
+		mat.OrthonormalizeRows(aqt)
+		qt, aqt = aqt, qt
 	}
-	// Rayleigh–Ritz: T = Qᵀ A Q, then eigendecompose the small b x b system.
-	t := mat.TMul(qblock, mat.Mul(a, qblock))
+	// Rayleigh–Ritz: T = Qᵀ(AQ), then eigendecompose the small b x b system.
+	mat.MulTTo(aqt, qt, a)
+	t := mat.NewDense(b, b)
+	mat.MulTTo(t, qt, aqt)
 	small, err := Sym(t)
 	if err != nil {
 		return nil, err
 	}
 	topVals := make([]float64, q)
 	copy(topVals, small.Values[:q])
-	idx := make([]int, q)
-	for i := range idx {
-		idx[i] = i
+	// Ritz vectors Q·W for the q leading columns W of the small system.
+	wt := mat.NewDense(q, b)
+	for i := 0; i < b; i++ {
+		for j, v := range small.Vectors.RowView(i)[:q] {
+			wt.Data[j*b+i] = v
+		}
 	}
-	vectors := mat.Mul(qblock, small.Vectors.SelectCols(idx))
+	vectors := mat.NewDense(n, q)
+	mat.MulTTo(vectors, qt.T(), wt)
 	return &System{Values: topVals, Vectors: vectors}, nil
 }
 

@@ -1,9 +1,10 @@
 // Package eigen implements the symmetric eigensolvers required by the
 // EigenPro 2.0 reproduction: a full dense solver (Householder
-// tridiagonalization followed by implicit-shift QL), a cyclic Jacobi solver
-// used as an independent cross-check, and block subspace iteration for
-// extracting only the top-q eigenpairs of large positive semi-definite
-// matrices such as subsampled kernel matrices.
+// tridiagonalization followed by implicit-shift QL) and block subspace
+// iteration for extracting only the top-q eigenpairs of large positive
+// semi-definite matrices such as subsampled kernel matrices. The tests
+// cross-check both against a cyclic Jacobi solver and a Lanczos solver
+// that live in the test files.
 package eigen
 
 import (
@@ -59,10 +60,12 @@ func Sym(a *mat.Dense) (*System, error) {
 	d := make([]float64, n) // diagonal of tridiagonal form
 	e := make([]float64, n) // subdiagonal
 	tred2(z, d, e)
-	if err := tql2(z, d, e); err != nil {
+	// The QL sweep rotates eigenvectors, which are contiguous rows of zᵀ.
+	zt := z.T()
+	if err := tql2(zt, d, e); err != nil {
 		return nil, err
 	}
-	// Sort descending, permuting eigenvector columns accordingly.
+	// Sort descending, permuting eigenvectors accordingly.
 	order := make([]int, n)
 	for i := range order {
 		order[i] = i
@@ -71,8 +74,11 @@ func Sym(a *mat.Dense) (*System, error) {
 	vals := make([]float64, n)
 	for k, idx := range order {
 		vals[k] = d[idx]
+		for i, v := range zt.RowView(idx) {
+			z.Data[i*n+k] = v
+		}
 	}
-	return &System{Values: vals, Vectors: z.SelectCols(order)}, nil
+	return &System{Values: vals, Vectors: z}, nil
 }
 
 // tred2 reduces the symmetric matrix stored in z to tridiagonal form using
@@ -159,10 +165,12 @@ func tred2(z *mat.Dense, d, e []float64) {
 
 // tql2 computes eigenvalues and eigenvectors of a symmetric tridiagonal
 // matrix (diagonal d, subdiagonal e) by the QL algorithm with implicit
-// shifts, updating the accumulated transform in z. It returns an error if
-// an eigenvalue fails to converge in 50 iterations.
-func tql2(z *mat.Dense, d, e []float64) error {
-	n := z.Rows
+// shifts, updating the accumulated transform, stored transposed in zt: each
+// plane rotation combines two contiguous rows of zt, the same arithmetic
+// as on two columns of its transpose. It returns an error if an eigenvalue
+// fails to converge in 50 iterations.
+func tql2(zt *mat.Dense, d, e []float64) error {
+	n := zt.Rows
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -211,10 +219,11 @@ func tql2(z *mat.Dense, d, e []float64) error {
 				p = s * r
 				d[i+1] = g + p
 				g = c*r - b
-				for k := 0; k < n; k++ {
-					f = z.At(k, i+1)
-					z.Set(k, i+1, s*z.At(k, i)+c*f)
-					z.Set(k, i, c*z.At(k, i)-s*f)
+				zi, zi1 := zt.RowView(i), zt.RowView(i+1)
+				for k, zk := range zi {
+					f = zi1[k]
+					zi1[k] = s*zk + c*f
+					zi[k] = c*zk - s*f
 				}
 			}
 			if r == 0 && m-1 >= l {

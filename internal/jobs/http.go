@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"slices"
 	"strings"
@@ -183,6 +184,9 @@ func decodeTrainRequest(r io.Reader) (trainRequest, error) {
 		default:
 			return req, errors.New("inline x needs y or labels+classes")
 		}
+		if err := checkFinite(req.X, req.Y); err != nil {
+			return req, err
+		}
 	default:
 		if req.Dataset == "" {
 			return req, errors.New("provide dataset or inline x")
@@ -198,6 +202,25 @@ func decodeTrainRequest(r io.Reader) (trainRequest, error) {
 		}
 	}
 	return req, nil
+}
+
+// checkFinite refuses inline rows that would poison training: an x row
+// whose sum of squares is NaN or Inf (predict's rule; every kernel distance
+// to it would be NaN) or a y value that is not finite.
+func checkFinite(x, y [][]float64) error {
+	for i, row := range x {
+		if ss := mat.Dot(row, row); math.IsNaN(ss) || math.IsInf(ss, 0) {
+			return fmt.Errorf("inline x row %d: features must be finite with a finite sum of squares, got %v", i, ss)
+		}
+	}
+	for i, row := range y {
+		for j, v := range row {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return fmt.Errorf("inline y row %d: output %d is %v, must be finite", i, j, v)
+			}
+		}
+	}
+	return nil
 }
 
 // spec materializes the validated request into a job spec (this is where a

@@ -2,6 +2,7 @@ package jobs
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -155,6 +156,58 @@ func TestHTTPErrors(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != c.want {
 			t.Errorf("%s %s: %d, want %d (%s)", c.method, c.path, rec.Code, c.want, rec.Body.String())
+		}
+	}
+}
+
+// TestHTTPRejectsNonFiniteRows submits inline rows whose sum of squares
+// overflows (40 rows of 4 features, every other one 1e308): admission
+// answers 400 naming the row and queues no job, where the job used to be
+// accepted and then fail inside the eigensolver.
+func TestHTTPRejectsNonFiniteRows(t *testing.T) {
+	m := New(Config{Workers: 1})
+	defer m.Close()
+	h := NewHandler(m)
+
+	var sb strings.Builder
+	sb.WriteString(`{"name":"huge","epochs":2,"classes":2,"x":[`)
+	for i := 0; i < 40; i++ {
+		if i > 0 {
+			sb.WriteString(",")
+		}
+		sb.WriteString(`[1e308,0.5,1e308,0.5]`)
+	}
+	sb.WriteString(`],"labels":[`)
+	for i := 0; i < 40; i++ {
+		if i > 0 {
+			sb.WriteString(",")
+		}
+		sb.WriteString([]string{"0", "1"}[i%2])
+	}
+	sb.WriteString(`]}`)
+	rec := postJSON(t, h, "/train", sb.String())
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "inline x row 0") {
+		t.Fatalf("POST /train with overflowing rows: %d %s, want 400 naming row 0", rec.Code, rec.Body.String())
+	}
+	if jobs := m.Jobs(); len(jobs) != 0 {
+		t.Fatalf("rejected request queued %d job(s)", len(jobs))
+	}
+
+	// JSON cannot carry NaN or Inf, so the rule itself is checked directly.
+	x := [][]float64{{1, 2}, {3, 4}}
+	for _, c := range []struct {
+		x, y [][]float64
+		want string
+	}{
+		{x, [][]float64{{1}, {0}}, ""},
+		{[][]float64{{1, 2}, {math.NaN(), 0}}, nil, "inline x row 1"},
+		{[][]float64{{math.Inf(-1), 0}}, nil, "inline x row 0"},
+		{x, [][]float64{{1}, {math.NaN()}}, "inline y row 1: output 0"},
+		{x, [][]float64{{0, math.Inf(1)}, {1, 0}}, "inline y row 0: output 1"},
+	} {
+		err := checkFinite(c.x, c.y)
+		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("checkFinite(%v, %v) = %v, want %q", c.x, c.y, err, c.want)
 		}
 	}
 }

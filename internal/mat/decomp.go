@@ -99,58 +99,43 @@ func CholeskySolveMat(l *Dense, b *Dense) *Dense {
 	return out
 }
 
-// QRThin computes a thin QR factorization of an m x n matrix with m >= n
-// using modified Gram-Schmidt with one reorthogonalization pass: a = q*r
-// where q is m x n with orthonormal columns and r is n x n upper triangular.
-// Rank-deficient columns receive a zero r diagonal and a zero q column.
-func QRThin(a *Dense) (q, r *Dense) {
-	m, n := a.Rows, a.Cols
-	if m < n {
-		panic(fmt.Sprintf("mat: QRThin needs rows >= cols, got %dx%d", m, n))
+// OrthonormalizeRows makes the rows of a orthonormal in place, keeping the
+// space they span: modified Gram–Schmidt with one re-orthogonalization pass
+// (MGS2), each row swept twice against every earlier row in turn. A row
+// whose remaining norm is at most 1e-300 (dependent on the rows before it)
+// becomes zero. Each sweep reads and updates contiguous rows: every dot
+// product is dotFMA and every update subScaledGo, through the assembly
+// kernels where the CPU has AVX2 and FMA, so both paths give the same bits.
+// It panics if a has more rows than columns.
+func OrthonormalizeRows(a *Dense) {
+	if a.Rows > a.Cols {
+		panic(fmt.Sprintf("mat: OrthonormalizeRows needs rows <= cols, got %dx%d", a.Rows, a.Cols))
 	}
-	q = a.Clone()
-	r = NewDense(n, n)
-	for j := 0; j < n; j++ {
-		// Two passes of Gram-Schmidt against previous columns for stability.
+	for j := 0; j < a.Rows; j++ {
+		qj := a.RowView(j)
 		for pass := 0; pass < 2; pass++ {
 			for p := 0; p < j; p++ {
-				s := 0.0
-				for i := 0; i < m; i++ {
-					s += q.At(i, p) * q.At(i, j)
-				}
-				if pass == 0 {
-					r.Set(p, j, r.At(p, j)+s)
-				} else {
-					r.Set(p, j, r.At(p, j)+s)
-				}
-				for i := 0; i < m; i++ {
-					q.Set(i, j, q.At(i, j)-s*q.At(i, p))
-				}
+				qp := a.RowView(p)
+				subScaled(dot(qp, qj), qp, qj)
 			}
 		}
-		norm := 0.0
-		for i := 0; i < m; i++ {
-			norm += q.At(i, j) * q.At(i, j)
-		}
-		norm = math.Sqrt(norm)
-		r.Set(j, j, norm)
+		norm := math.Sqrt(dot(qj, qj))
 		if norm > 1e-300 {
 			inv := 1.0 / norm
-			for i := 0; i < m; i++ {
-				q.Set(i, j, q.At(i, j)*inv)
+			for i := range qj {
+				qj[i] *= inv
 			}
 		} else {
-			for i := 0; i < m; i++ {
-				q.Set(i, j, 0)
-			}
+			clear(qj)
 		}
 	}
-	return q, r
 }
 
 // Orthonormalize returns a matrix whose columns orthonormally span the
-// column space of a (the Q factor of QRThin).
+// column space of a (rows >= cols): OrthonormalizeRows on aᵀ, transposed
+// back.
 func Orthonormalize(a *Dense) *Dense {
-	q, _ := QRThin(a)
-	return q
+	at := a.T()
+	OrthonormalizeRows(at)
+	return at.T()
 }

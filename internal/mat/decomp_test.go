@@ -1,6 +1,7 @@
 package mat
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -103,40 +104,90 @@ func TestTriangularSolves(t *testing.T) {
 	}
 }
 
-func TestQRThinOrthonormalAndReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for _, dims := range [][2]int{{5, 5}, {10, 4}, {40, 12}} {
-		a := randDense(rng, dims[0], dims[1])
-		q, r := QRThin(a)
-		// QᵀQ = I
-		qtq := TMul(q, q)
-		if !Equal(qtq, Eye(dims[1]), 1e-10) {
-			t.Fatalf("dims %v: QᵀQ != I", dims)
-		}
-		// QR = A
-		if !Equal(Mul(q, r), a, 1e-10) {
-			t.Fatalf("dims %v: QR != A", dims)
-		}
-		// R upper triangular
-		for i := 0; i < dims[1]; i++ {
-			for j := 0; j < i; j++ {
-				if r.At(i, j) != 0 {
-					t.Fatalf("dims %v: R not upper triangular", dims)
-				}
+// orthonormalizeRowsRef is OrthonormalizeRows on the pure-Go dotFMA and
+// subScaledGo, the oracle for the assembly kernels.
+func orthonormalizeRowsRef(a *Dense) {
+	for j := 0; j < a.Rows; j++ {
+		qj := a.RowView(j)
+		for pass := 0; pass < 2; pass++ {
+			for p := 0; p < j; p++ {
+				qp := a.RowView(p)
+				subScaledGo(dotFMA(qp, qj), qp, qj)
 			}
+		}
+		norm := math.Sqrt(dotFMA(qj, qj))
+		if norm > 1e-300 {
+			inv := 1.0 / norm
+			for i := range qj {
+				qj[i] *= inv
+			}
+		} else {
+			clear(qj)
 		}
 	}
 }
 
-func TestQRThinRankDeficient(t *testing.T) {
-	// Second column is a multiple of the first.
-	a := NewDenseData(3, 2, []float64{1, 2, 1, 2, 1, 2})
-	q, r := QRThin(a)
-	if math.Abs(r.At(1, 1)) > 1e-10 {
-		t.Fatalf("rank-deficient column should produce ~0 diagonal, got %v", r.At(1, 1))
+func TestOrthonormalizeRowsOrthonormalAndSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, dims := range [][2]int{{5, 5}, {4, 10}, {12, 40}, {1, 7}, {0, 3}} {
+		a := randDense(rng, dims[0], dims[1])
+		q := a.Clone()
+		OrthonormalizeRows(q)
+		want := a.Clone()
+		orthonormalizeRowsRef(want)
+		sameBits(t, fmt.Sprintf("rows %v against the dotFMA oracle", dims), q, want)
+		// QQᵀ = I
+		if !Equal(MulT(q, q), Eye(dims[0]), 1e-10) {
+			t.Fatalf("rows %v: QQᵀ != I", dims)
+		}
+		// Projecting the rows of A onto span(Q) reproduces them: A QᵀQ = A.
+		if !Equal(Mul(MulT(a, q), q), a, 1e-10) {
+			t.Fatalf("rows %v: Q does not span the rows of A", dims)
+		}
 	}
-	if !Equal(Mul(q, r), a, 1e-10) {
-		t.Fatal("QR != A for rank-deficient input")
+	// More vectors than dimensions cannot be orthonormal.
+	for name, f := range map[string]func(){
+		"OrthonormalizeRows 3x2": func() { OrthonormalizeRows(NewDense(3, 2)) },
+		"Orthonormalize 2x3":     func() { Orthonormalize(NewDense(2, 3)) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+	for _, dims := range [][2]int{{5, 5}, {10, 4}, {40, 12}} {
+		a := randDense(rng, dims[0], dims[1])
+		q := Orthonormalize(a)
+		if !Equal(TMul(q, q), Eye(dims[1]), 1e-10) {
+			t.Fatalf("cols %v: QᵀQ != I", dims)
+		}
+		if !Equal(Mul(q, TMul(q, a)), a, 1e-10) {
+			t.Fatalf("cols %v: Q does not span the columns of A", dims)
+		}
+	}
+}
+
+func TestOrthonormalizeRowsDependentRowIsZero(t *testing.T) {
+	// Row 1 is 3·row 0, and every step on it is exact (row 0 normalizes to
+	// 0.5s), so MGS2 leaves it exactly zero; row 2 stays a unit vector.
+	a := NewDenseData(3, 4, []float64{1, 1, 1, 1, 3, 3, 3, 3, 1, -1, 1, -1})
+	OrthonormalizeRows(a)
+	want := NewDenseData(3, 4, []float64{0.5, 0.5, 0.5, 0.5, 0, 0, 0, 0, 0.5, -0.5, 0.5, -0.5})
+	sameBits(t, "rows", a, want)
+	// The same matrix in columns, through the wrapper.
+	q := Orthonormalize(NewDenseData(4, 3, []float64{1, 3, 1, 1, 3, -1, 1, 3, 1, 1, 3, -1}))
+	sameBits(t, "columns", q, want.T())
+	// A dependent row that does not cancel exactly still leaves the first
+	// row spanning the rank-1 input.
+	b := NewDenseData(2, 3, []float64{1, 1, 1, 2, 2, 2})
+	qb := b.Clone()
+	OrthonormalizeRows(qb)
+	if !Equal(Mul(MulT(b, qb.SliceRows(0, 1)), qb.SliceRows(0, 1)), b, 1e-10) {
+		t.Fatal("first row does not span a rank-1 input")
 	}
 }
 
@@ -176,5 +227,18 @@ func TestQuickCholeskySolveResidual(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+var sinkDense *Dense
+
+// BenchmarkOrthonormalize times the column-layout wrapper at the s x (q+20)
+// block of train-mnist's subspace iteration (600x170).
+func BenchmarkOrthonormalize(b *testing.B) {
+	rng := rand.New(rand.NewSource(16))
+	a := randDense(rng, 600, 170)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkDense = Orthonormalize(a)
 	}
 }

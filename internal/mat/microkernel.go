@@ -25,6 +25,16 @@ func dotFMA(a, b []float64) float64 {
 	return s
 }
 
+// subScaledGo sets y[i] -= s·x[i] for every i < len(x), rounding each
+// product before the subtraction: the conversion keeps the compiler from
+// fusing the two into a multiply-add. y must be at least as long as x.
+func subScaledGo(s float64, x, y []float64) {
+	y = y[:len(x)]
+	for i, v := range x {
+		y[i] -= float64(s * v)
+	}
+}
+
 // mulTTBlockGo computes dst[i,j] = dotFMA(a_i, b_j) for i in [i0,i1) and
 // j in [j0,j1).
 func mulTTBlockGo(dst, a, b *Dense, i0, i1, j0, j1 int) {

@@ -72,3 +72,30 @@ func mulTTBlock(dst, a, b *Dense, i0, i1, j0, j1 int) {
 		}
 	}
 }
+
+// subScaled1 sets y[i] -= s·x[i] for i < k, as subScaledGo does.
+//
+//go:noescape
+func subScaled1(s float64, x, y *float64, k int)
+
+// dot returns dotFMA(a, b), through the assembly dot1 where the CPU has
+// AVX2 and FMA. b must be at least as long as a.
+func dot(a, b []float64) float64 {
+	if !useAVX2FMA || len(a) == 0 {
+		return dotFMA(a, b)
+	}
+	_ = b[len(a)-1]
+	return dot1(&a[0], &b[0], len(a))
+}
+
+// subScaled sets y[i] -= s·x[i] with subScaledGo's bits, through the
+// assembly subScaled1 where the CPU has AVX2 and FMA. y must be at least
+// as long as x.
+func subScaled(s float64, x, y []float64) {
+	if !useAVX2FMA || len(x) == 0 {
+		subScaledGo(s, x, y)
+		return
+	}
+	_ = y[len(x)-1]
+	subScaled1(s, &x[0], &y[0], len(x))
+}

@@ -218,3 +218,42 @@ done11:
 	VMOVSD X0, ret+24(FP)
 	VZEROUPPER
 	RET
+
+// func subScaled1(s float64, x, y *float64, k int)
+// y[i] -= s·x[i] for i < k, each product rounded before the subtraction
+// (VMULPD then VSUBPD, no fused multiply-add), which is subScaledGo.
+TEXT ·subScaled1(SB), NOSPLIT, $0-32
+	VBROADCASTSD s+0(FP), Y9
+	MOVQ         x+8(FP), SI
+	MOVQ         y+16(FP), DI
+	MOVQ         k+24(FP), CX
+	SHLQ         $3, CX
+	MOVQ         CX, R14
+	ANDQ         $-32, R14
+	XORQ         AX, AX
+	CMPQ         AX, R14
+	JGE          tail21
+
+loop21:
+	VMULPD  (SI)(AX*1), Y9, Y8
+	VMOVUPD (DI)(AX*1), Y10
+	VSUBPD  Y8, Y10, Y10
+	VMOVUPD Y10, (DI)(AX*1)
+	ADDQ    $32, AX
+	CMPQ    AX, R14
+	JLT     loop21
+
+tail21:
+	CMPQ   AX, CX
+	JGE    done21
+	VMOVSD (SI)(AX*1), X8
+	VMULSD X9, X8, X8
+	VMOVSD (DI)(AX*1), X10
+	VSUBSD X8, X10, X10
+	VMOVSD X10, (DI)(AX*1)
+	ADDQ   $8, AX
+	JMP    tail21
+
+done21:
+	VZEROUPPER
+	RET

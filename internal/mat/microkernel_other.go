@@ -10,3 +10,9 @@ func mulTTBlock(dst, a, b *Dense, i0, i1, j0, j1 int) {
 
 // useAVX2FMA is false where there is no assembly micro-kernel.
 const useAVX2FMA = false
+
+// dot returns dotFMA(a, b); there is no assembly dot off amd64.
+func dot(a, b []float64) float64 { return dotFMA(a, b) }
+
+// subScaled is subScaledGo; there is no assembly update off amd64.
+func subScaled(s float64, x, y []float64) { subScaledGo(s, x, y) }

@@ -69,6 +69,25 @@ func TestMulTToBitsMatchPureGo(t *testing.T) {
 	}
 }
 
+// TestDotAndSubScaledBitsMatchPureGo compares the row kernels that
+// OrthonormalizeRows runs, assembly where the CPU has AVX2 and FMA, with
+// dotFMA and subScaledGo bit for bit, at lengths below, at and past the
+// 4-lane width.
+func TestDotAndSubScaledBitsMatchPureGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, k := range []int{0, 1, 3, 4, 5, 8, 17, 600} {
+		x, y := randDense(rng, 1, k).Data, randDense(rng, 1, k+2).Data
+		if got, want := dot(x, y), dotFMA(x, y); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("k=%d: dot = %v, dotFMA %v", k, got, want)
+		}
+		s := rng.NormFloat64()
+		got, want := NewDenseData(1, k+2, append([]float64(nil), y...)), NewDenseData(1, k+2, y)
+		subScaled(s, x, got.Data)
+		subScaledGo(s, x, want.Data)
+		sameBits(t, fmt.Sprintf("subScaled k=%d", k), got, want)
+	}
+}
+
 // TestMulTToRowIndependentOfBatchAndWorkers checks that a row's outputs
 // have the same bits computed alone, at every position inside a larger
 // batch, and with one worker as with GOMAXPROCS.
